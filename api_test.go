@@ -129,6 +129,8 @@ func TestBatchedVarphiMatchesPerPair(t *testing.T) {
 	}
 }
 
+// TestAffectancesMatchPerPair: the batched matrix and its In/Out sums
+// equal the per-pair affectance functions bit for bit.
 func TestAffectancesMatchPerPair(t *testing.T) {
 	m := randomMatrix(t, 40, 9)
 	links := make([]Link, 20)
@@ -144,20 +146,20 @@ func TestAffectancesMatchPerPair(t *testing.T) {
 	for w := 0; w < sys.Len(); w++ {
 		for v := 0; v < sys.Len(); v++ {
 			want := sinr.AffectanceRaw(sys, p, w, v)
-			if got := aff.Raw(w, v); !relClose(got, want, 1e-12) {
+			if got := aff.Raw(w, v); got != want {
 				t.Fatalf("raw a_%d(%d) = %v, per-pair %v", w, v, got, want)
 			}
-			if got, want := aff.Clipped(w, v), sinr.Affectance(sys, p, w, v); !relClose(got, want, 1e-12) {
+			if got, want := aff.Clipped(w, v), sinr.Affectance(sys, p, w, v); got != want {
 				t.Fatalf("clipped a_%d(%d) = %v, per-pair %v", w, v, got, want)
 			}
 		}
 	}
 	set := []int{0, 3, 7, 11, 19}
 	for _, v := range set {
-		if got, want := aff.In(set, v), sinr.InAffectance(sys, p, set, v); !relClose(got, want, 1e-12) {
+		if got, want := aff.In(set, v), sinr.InAffectance(sys, p, set, v); got != want {
 			t.Fatalf("In(%d) = %v, want %v", v, got, want)
 		}
-		if got, want := aff.Out(v, set), sinr.OutAffectance(sys, p, v, set); !relClose(got, want, 1e-12) {
+		if got, want := aff.Out(v, set), sinr.OutAffectance(sys, p, v, set); got != want {
 			t.Fatalf("Out(%d) = %v, want %v", v, got, want)
 		}
 	}

@@ -17,9 +17,9 @@
 //     applies batched edits under a session version counter and repairs
 //     the caches incrementally instead of rebuilding. Long-running entry
 //     points have context-accepting forms (ZetaCtx, ScheduleCtx, …) for
-//     cooperative cancellation. Hot paths consume whole matrix rows
-//     through the RowSpace contract on a shared worker pool rather than
-//     paying an interface call per element.
+//     cooperative cancellation. Metricity scans consume whole matrix rows
+//     through the RowSpace contract on a shared worker pool; affectance
+//     builds read only the link×link decays, one F call per entry.
 //
 //   - Scenario: a name-based registry of instance sources
 //     (database/sql-driver style) unifying the environment presets
@@ -332,9 +332,13 @@ var (
 	// IsFeasible checks simultaneous SINR feasibility.
 	IsFeasible = sinr.IsFeasible
 	// ComputeAffectances builds the dense pairwise affectance matrix in
-	// parallel through the batch row contract (Engine.Affectances caches
-	// it per power vector).
+	// parallel from the link×link decays (Engine.Affectances caches it per
+	// power vector).
 	ComputeAffectances = sinr.ComputeAffectances
+	// ErrPowerMismatch is wrapped by every Engine entry point handed a
+	// power vector whose length is not the current link count — one built
+	// before an Update added or removed links. Rebuild the vector and retry.
+	ErrPowerMismatch = sinr.ErrPowerMismatch
 	// SignalStrengthen partitions into q-feasible classes (Lemma B.1).
 	SignalStrengthen = sinr.SignalStrengthen
 	// ExtractAmicable runs Theorem 4's constructive argument.

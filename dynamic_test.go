@@ -2,6 +2,7 @@ package decaynet_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -229,12 +230,17 @@ func TestUpdateConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
+				// An Update adding a link between UniformPower and a
+				// read leaves p one entry short: the read reports
+				// ErrPowerMismatch and the reader rebuilds its vector.
 				p := eng.UniformPower(1)
 				eng.Zeta()
 				eng.Phi()
 				eng.Affectances(p)
 				eng.Capacity(p, nil)
-				if _, err := eng.Schedule(p, nil); err != nil {
+				if _, err := eng.Schedule(p, nil); errors.Is(err, decaynet.ErrPowerMismatch) {
+					continue
+				} else if err != nil {
 					t.Error(err)
 					return
 				}
@@ -266,6 +272,63 @@ func TestUpdateConcurrentReaders(t *testing.T) {
 	close(done)
 	wg.Wait()
 	assertEquivalent(t, "concurrent", eng, freshTwin(t, eng, 0))
+}
+
+// TestErrPowerMismatch pins the stale-power guard deterministically: a
+// power vector built before AddLinks is one entry short afterwards, and
+// every power-taking entry point rejects it — error forms with
+// ErrPowerMismatch, error-less forms with their zero value — instead of
+// panicking. A rebuilt vector serves again.
+func TestErrPowerMismatch(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		opts := []decaynet.EngineOption{
+			decaynet.UsingScenario("random", decaynet.ScenarioConfig{Nodes: 24, Seed: 4}),
+			decaynet.Noise(0.01),
+		}
+		if shards > 0 {
+			opts = append(opts, decaynet.WithShards(shards))
+		}
+		eng, err := decaynet.NewEngine(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stale := eng.UniformPower(1)
+		if err := eng.AddLinks(decaynet.Link{Sender: 0, Receiver: 5}); err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		checkErr := func(name string, err error) {
+			t.Helper()
+			if !errors.Is(err, decaynet.ErrPowerMismatch) {
+				t.Errorf("shards=%d %s: err = %v, want ErrPowerMismatch", shards, name, err)
+			}
+		}
+		_, err = eng.AffectancesCtx(ctx, stale)
+		checkErr("AffectancesCtx", err)
+		_, err = eng.CapacityCtx(ctx, stale, nil)
+		checkErr("CapacityCtx", err)
+		_, err = eng.Schedule(stale, nil)
+		checkErr("Schedule", err)
+		_, err = eng.ScheduleCtx(ctx, stale, nil)
+		checkErr("ScheduleCtx", err)
+		_, err = eng.ScheduleWith(stale, nil, decaynet.Algorithm1)
+		checkErr("ScheduleWith", err)
+		_, err = eng.ScheduleFirstFit(stale, nil)
+		checkErr("ScheduleFirstFit", err)
+		checkErr("ValidateSchedule", eng.ValidateSchedule(stale, []int{0}, [][]int{{0}}))
+		if eng.Affectances(stale) != nil || eng.Capacity(stale, nil) != nil ||
+			eng.GreedyCapacity(stale, nil) != nil || eng.ExactCapacity(stale, []int{0, 1}) != nil ||
+			eng.FirstFitCapacity(stale, nil) != nil || eng.Feasible(stale, []int{0}) {
+			t.Errorf("shards=%d: an error-less form answered a stale power vector", shards)
+		}
+		fresh := eng.UniformPower(1)
+		if eng.Affectances(fresh) == nil || len(eng.Capacity(fresh, nil)) == 0 {
+			t.Errorf("shards=%d: rebuilt power vector not served", shards)
+		}
+		if _, err := eng.Schedule(fresh, nil); err != nil {
+			t.Errorf("shards=%d: rebuilt power vector: %v", shards, err)
+		}
+	}
 }
 
 // TestCtxCancelledPromptly is the load-shedding acceptance check: a

@@ -818,9 +818,11 @@ func (e *Engine) QuasiMetric() *QuasiMetric {
 }
 
 // Affectances returns the cached dense affectance matrix for p, computing
-// it (in parallel, through the batch row contract) only when p changes.
-// The returned matrix is a snapshot: an Update patches a fresh copy into
-// the cache instead of touching handed-out matrices.
+// it (in parallel, from the link×link decays) only when p changes. The
+// returned matrix is a snapshot: an Update patches a fresh copy into the
+// cache instead of touching handed-out matrices. A p that fails
+// Power.Validate against the current links yields nil; AffectancesCtx
+// reports why.
 func (e *Engine) Affectances(p Power) *Affectances {
 	a, _ := e.AffectancesCtx(context.Background(), p)
 	return a
@@ -831,6 +833,9 @@ func (e *Engine) Affectances(p Power) *Affectances {
 func (e *Engine) AffectancesCtx(ctx context.Context, p Power) (*Affectances, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if err := e.checkPower(p); err != nil {
+		return nil, err
+	}
 	return e.sys.AffectancesCtx(ctx, p)
 }
 
@@ -863,6 +868,14 @@ func (e *Engine) AllLinks() []int {
 	return capacity.AllLinks(e.sys)
 }
 
+// checkPower validates p against the current link set (sinr.Power.Validate).
+// Callers hold mu, so the check and the computation it guards see the same
+// links: a vector built before an Update changed the link count fails with
+// an error wrapping ErrPowerMismatch instead of indexing out of range.
+func (e *Engine) checkPower(p Power) error {
+	return p.Validate(e.sys)
+}
+
 // orAll substitutes the full link set for nil. Callers hold mu.
 func (e *Engine) orAll(links []int) []int {
 	if links == nil {
@@ -872,7 +885,10 @@ func (e *Engine) orAll(links []int) []int {
 }
 
 // Capacity runs the paper's Algorithm 1 (Theorem 5) on the given links
-// (nil = all) under power p.
+// (nil = all) under power p. Every power-taking method first checks p
+// with Power.Validate against the current links: the error-returning
+// forms return its error (wrapping ErrPowerMismatch for a vector built
+// for another link count), the others return their zero value.
 func (e *Engine) Capacity(p Power, links []int) []int {
 	out, _ := e.CapacityCtx(context.Background(), p, links)
 	return out
@@ -885,6 +901,9 @@ func (e *Engine) Capacity(p Power, links []int) []int {
 func (e *Engine) CapacityCtx(ctx context.Context, p Power, links []int) ([]int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if err := e.checkPower(p); err != nil {
+		return nil, err
+	}
 	return capacity.Algorithm1Ctx(ctx, e.sys, p, e.orAll(links))
 }
 
@@ -892,6 +911,9 @@ func (e *Engine) CapacityCtx(ctx context.Context, p Power, links []int) ([]int, 
 func (e *Engine) GreedyCapacity(p Power, links []int) []int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if e.checkPower(p) != nil {
+		return nil
+	}
 	return capacity.GreedyGeneral(e.sys, p, e.orAll(links))
 }
 
@@ -899,6 +921,9 @@ func (e *Engine) GreedyCapacity(p Power, links []int) []int {
 func (e *Engine) ExactCapacity(p Power, links []int) []int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if e.checkPower(p) != nil {
+		return nil
+	}
 	return capacity.Exact(e.sys, p, e.orAll(links))
 }
 
@@ -906,6 +931,9 @@ func (e *Engine) ExactCapacity(p Power, links []int) []int {
 func (e *Engine) FirstFitCapacity(p Power, links []int) []int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if e.checkPower(p) != nil {
+		return nil
+	}
 	return capacity.FirstFit(e.sys, p, e.orAll(links))
 }
 
@@ -913,6 +941,9 @@ func (e *Engine) FirstFitCapacity(p Power, links []int) []int {
 func (e *Engine) Feasible(p Power, set []int) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if e.checkPower(p) != nil {
+		return false
+	}
 	return sinr.IsFeasible(e.sys, p, set)
 }
 
@@ -921,6 +952,9 @@ func (e *Engine) Feasible(p Power, set []int) bool {
 func (e *Engine) Schedule(p Power, links []int) ([][]int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if err := e.checkPower(p); err != nil {
+		return nil, err
+	}
 	return schedule.ByCapacity(e.sys, p, e.orAll(links), capacity.Algorithm1)
 }
 
@@ -930,6 +964,9 @@ func (e *Engine) Schedule(p Power, links []int) ([][]int, error) {
 func (e *Engine) ScheduleCtx(ctx context.Context, p Power, links []int) ([][]int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if err := e.checkPower(p); err != nil {
+		return nil, err
+	}
 	return schedule.ByCapacityCtx(ctx, e.sys, p, e.orAll(links), capacity.Algorithm1)
 }
 
@@ -937,6 +974,9 @@ func (e *Engine) ScheduleCtx(ctx context.Context, p Power, links []int) ([][]int
 func (e *Engine) ScheduleWith(p Power, links []int, cap schedule.CapacityFunc) ([][]int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if err := e.checkPower(p); err != nil {
+		return nil, err
+	}
 	return schedule.ByCapacity(e.sys, p, e.orAll(links), cap)
 }
 
@@ -944,6 +984,9 @@ func (e *Engine) ScheduleWith(p Power, links []int, cap schedule.CapacityFunc) (
 func (e *Engine) ScheduleFirstFit(p Power, links []int) ([][]int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if err := e.checkPower(p); err != nil {
+		return nil, err
+	}
 	return schedule.FirstFit(e.sys, p, e.orAll(links))
 }
 
@@ -952,6 +995,9 @@ func (e *Engine) ScheduleFirstFit(p Power, links []int) ([][]int, error) {
 func (e *Engine) ValidateSchedule(p Power, links []int, slots [][]int) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if err := e.checkPower(p); err != nil {
+		return err
+	}
 	return schedule.Validate(e.sys, p, e.orAll(links), slots)
 }
 

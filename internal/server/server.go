@@ -758,12 +758,17 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 }
 
 // writeComputeError maps a failed session computation: a cancelled or
-// abandoned request is load shedding (503), anything else is a bad
-// request against this session (400).
+// abandoned request is load shedding (503), a power vector built against
+// a link set a concurrent mutation has since changed is a conflict (409,
+// retry reads the new links), anything else is a bad request against this
+// session (400).
 func writeComputeError(w http.ResponseWriter, r *http.Request, err error) {
-	if r.Context().Err() != nil {
+	switch {
+	case r.Context().Err() != nil:
 		writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
+	case errors.Is(err, sinr.ErrPowerMismatch):
+		writeError(w, http.StatusConflict, err.Error())
+	default:
+		writeError(w, http.StatusBadRequest, err.Error())
 	}
-	writeError(w, http.StatusBadRequest, err.Error())
 }

@@ -548,3 +548,31 @@ func TestConcurrentTenants(t *testing.T) {
 		}
 	}
 }
+
+// staleSession answers every power-taking read as a session whose link set
+// changed after the request built its power vector.
+type staleSession struct{ stubSession }
+
+var errStalePower = fmt.Errorf("%w: 2 entries for 3 links", sinr.ErrPowerMismatch)
+
+func (s *staleSession) AffectancesCtx(context.Context, sinr.Power) (*sinr.Affectances, error) {
+	return nil, errStalePower
+}
+func (s *staleSession) CapacityCtx(context.Context, sinr.Power, []int) ([]int, error) {
+	return nil, errStalePower
+}
+func (s *staleSession) ScheduleCtx(context.Context, sinr.Power, []int) ([][]int, error) {
+	return nil, errStalePower
+}
+
+func TestStalePowerIsConflict(t *testing.T) {
+	s := newTestServer(t, Config{Build: func(context.Context, *CreateRequest) (Session, error) {
+		return &staleSession{}, nil
+	}})
+	id := createSession(t, s, "")
+	for _, q := range []string{"/affectance?link=0", "/capacity", "/schedule"} {
+		if rec := call(t, s, "GET", "/v1/sessions/"+id+q, "", "", nil); rec.Code != http.StatusConflict {
+			t.Fatalf("%s: %d %s, want 409", q, rec.Code, rec.Body.String())
+		}
+	}
+}

@@ -105,16 +105,34 @@ type BandResult struct {
 }
 
 // AffectanceJob asks a worker for the affectance-matrix row block of the
-// links in Links: row w holds a_w(v) = Factor[v] · Power[w] / f(Send[w],
-// Recv[v]) for all v, evaluated against the worker's replica of the decay
-// space. The per-link vectors are precomputed by the coordinator's caller
-// so every shard consumes identical inputs.
+// links in Links: row w is AffectanceRow over the worker's replica of the
+// decay space. The per-link vectors are precomputed by the coordinator's
+// caller so every shard consumes identical inputs.
 type AffectanceJob struct {
 	Links  Range     `json:"links"`
 	Factor []float64 `json:"factor"`
 	Power  []float64 `json:"power"`
 	Recv   []int     `json:"recv"`
 	Send   []int     `json:"send"`
+}
+
+// AffectanceRow fills out with row w of the affectance matrix,
+//
+//	out[v] = factor[v] · pw / f(send, recv[v]),  out[w] = 0,
+//
+// where send and pw are link w's sender and power, and factor and recv are
+// the per-link vectors of AffectanceJob. It reads only the link×link decays — one F per
+// entry, never a whole space row — and is the single expression every
+// affectance build (dense, patched, sharded, streamed, remote) evaluates,
+// so they all agree bit for bit.
+func AffectanceRow(sp core.Space, w, send int, pw float64, factor []float64, recv []int, out []float64) {
+	for v, rv := range recv {
+		if v == w {
+			out[v] = 0
+			continue
+		}
+		out[v] = factor[v] * pw / sp.F(send, rv)
+	}
 }
 
 // AffectanceBlock is a shard's affectance row block: rows [Lo, Lo+len/n)
@@ -237,9 +255,9 @@ func (r *Replica) N() int {
 	return r.rows.N()
 }
 
-// rowSource returns the space rows are read from: the dense matrix, or the
-// streamed row source.
-func (r *Replica) rowSource() core.RowSpace {
+// space returns the decay space the replica serves: the dense matrix, or
+// the streamed row source.
+func (r *Replica) space() core.Space {
 	if r.m != nil {
 		return r.m
 	}
@@ -376,23 +394,12 @@ func (w *localWorker) AffectanceRows(ctx context.Context, job AffectanceJob) (Af
 	nLinks := len(job.Factor)
 	lo, hi := job.Links.Lo, job.Links.Hi
 	blk := AffectanceBlock{Lo: lo, Rows: make([]float64, (hi-lo)*nLinks)}
-	src := w.rep.rowSource()
-	nodes := src.N()
-	buf := make([]float64, nodes)
+	sp := w.rep.space()
 	for l := lo; l < hi; l++ {
 		if err := ctx.Err(); err != nil {
 			return AffectanceBlock{}, err
 		}
-		src.Row(job.Send[l], buf)
-		out := blk.Rows[(l-lo)*nLinks : (l-lo+1)*nLinks]
-		pw := job.Power[l]
-		for v := 0; v < nLinks; v++ {
-			if v == l {
-				out[v] = 0
-				continue
-			}
-			out[v] = job.Factor[v] * pw / buf[job.Recv[v]]
-		}
+		AffectanceRow(sp, l, job.Send[l], job.Power[l], job.Factor, job.Recv, blk.Rows[(l-lo)*nLinks:(l-lo+1)*nLinks])
 	}
 	return blk, nil
 }

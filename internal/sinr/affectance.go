@@ -27,11 +27,15 @@ func AffectanceRaw(s *System, p Power, w, v int) float64 {
 	if w == v {
 		return 0
 	}
-	cv := NoiseFactor(s, p, v)
-	if math.IsInf(cv, 1) {
-		return math.Inf(1)
-	}
-	return cv * (p[w] / p[v]) * (s.Decay(v) / s.CrossDecay(w, v))
+	return linkFactor(s, p, v) * p[w] / s.CrossDecay(w, v)
+}
+
+// linkFactor returns c_v·f_vv/P_v, the factor of a_w(v) that depends only
+// on the affected link v (+Inf for a link dead even in isolation). Every
+// affectance path multiplies it by P_w and divides by f_wv in that order,
+// so per-pair and batched values agree bit for bit.
+func linkFactor(s *System, p Power, v int) float64 {
+	return NoiseFactor(s, p, v) * s.Decay(v) / p[v]
 }
 
 // InAffectance returns a_S(v) = Σ_{w∈S} a_w(v) with clipped terms.

@@ -4,25 +4,42 @@ import (
 	"context"
 	"math"
 
-	"decaynet/internal/core"
 	"decaynet/internal/par"
+	"decaynet/internal/shard"
 )
 
 // Affectances is the dense pairwise affectance cache for one (system,
-// power) pair: entry (w, v) holds the unclipped a_w(v) of Sec 2.4. It is
-// built row-first through the RowSpace batch contract on the shared worker
-// pool — one space row per sender instead of an interface call per matrix
-// element — and is what the capacity and scheduling algorithms consume.
+// power) pair: entry (w, v) holds the unclipped a_w(v) of Sec 2.4. It reads
+// only the link×link decays f(s_w, r_v) — one F per entry through
+// shard.AffectanceRow, never a whole space row — and is what the capacity
+// and scheduling algorithms consume.
 type Affectances struct {
 	n   int
 	raw []float64 // a_w(v) unclipped, row-major by w; +Inf for dead links
+}
+
+// linkVectors returns the per-link inputs of every affectance build:
+// factor[v] = c_v·f_vv/P_v (+Inf when the link cannot meet its threshold
+// even in isolation, matching NoiseFactor), and each link's receiver and
+// sender node.
+func linkVectors(s *System, p Power) (factor []float64, recv, send []int) {
+	n := s.Len()
+	factor, recv, send = make([]float64, n), make([]int, n), make([]int, n)
+	for v := 0; v < n; v++ {
+		factor[v] = linkFactor(s, p, v)
+		recv[v] = s.links[v].Receiver
+		send[v] = s.links[v].Sender
+	}
+	return factor, recv, send
 }
 
 // ComputeAffectances builds the dense affectance matrix for power vector p.
 //
 // AffectanceRaw(w, v) factors as (c_v·f_vv/P_v) · P_w / f_wv: the first
 // term depends only on v and is hoisted into a per-link vector, after
-// which each row w needs only the decays out of w's sender.
+// which entry (w, v) needs only the decay from w's sender to v's receiver.
+// The links×links build costs O(links²) F calls regardless of the node
+// count, on the shared worker pool.
 func ComputeAffectances(s *System, p Power) *Affectances {
 	a, _ := ComputeAffectancesCtx(context.Background(), s, p)
 	return a
@@ -37,32 +54,13 @@ func ComputeAffectancesCtx(ctx context.Context, s *System, p Power) (*Affectance
 	if n == 0 {
 		return a, ctx.Err()
 	}
-	// factor[v] = c_v · f_vv / P_v  (+Inf when the link cannot meet its
-	// threshold even in isolation, matching NoiseFactor).
-	factor := make([]float64, n)
-	recv := make([]int, n)
-	for v := 0; v < n; v++ {
-		factor[v] = NoiseFactor(s, p, v) * s.Decay(v) / p[v]
-		recv[v] = s.links[v].Receiver
-	}
-	rows := core.Rows(s.space)
-	nodes := rows.N()
+	factor, recv, send := linkVectors(s, p)
 	err := par.ForChunkedCtx(ctx, n, func(lo, hi int) {
-		buf := make([]float64, nodes)
 		for w := lo; w < hi; w++ {
 			if ctx.Err() != nil {
 				return
 			}
-			rows.Row(s.links[w].Sender, buf)
-			out := a.raw[w*n : (w+1)*n]
-			pw := p[w]
-			for v := 0; v < n; v++ {
-				if v == w {
-					out[v] = 0
-					continue
-				}
-				out[v] = factor[v] * pw / buf[recv[v]]
-			}
+			shard.AffectanceRow(s.space, w, send[w], p[w], factor, recv, a.raw[w*n:(w+1)*n])
 		}
 	})
 	if err != nil {
@@ -86,34 +84,15 @@ func PatchAffectances(s *System, p Power, old *Affectances, dirty []int) *Affect
 	if n == 0 || len(dirty) == 0 {
 		return a
 	}
-	factor := make([]float64, n)
-	recv := make([]int, n)
-	for v := 0; v < n; v++ {
-		factor[v] = NoiseFactor(s, p, v) * s.Decay(v) / p[v]
-		recv[v] = s.links[v].Receiver
-	}
-	rows := core.Rows(s.space)
-	buf := make([]float64, rows.N())
+	factor, recv, send := linkVectors(s, p)
 	for _, w := range dirty {
-		rows.Row(s.links[w].Sender, buf)
-		out := a.raw[w*n : (w+1)*n]
-		pw := p[w]
-		for v := 0; v < n; v++ {
-			if v == w {
-				out[v] = 0
-				continue
-			}
-			out[v] = factor[v] * pw / buf[recv[v]]
-		}
+		shard.AffectanceRow(s.space, w, send[w], p[w], factor, recv, a.raw[w*n:(w+1)*n])
 	}
 	for _, v := range dirty {
-		rv := recv[v]
-		fv := factor[v]
 		for w := 0; w < n; w++ {
-			if w == v {
-				continue
+			if w != v {
+				a.raw[w*n+v] = factor[v] * p[w] / s.space.F(send[w], recv[v])
 			}
-			a.raw[w*n+v] = fv * p[w] / s.space.F(s.links[w].Sender, rv)
 		}
 	}
 	return a

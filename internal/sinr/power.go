@@ -1,6 +1,7 @@
 package sinr
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -9,10 +10,16 @@ import (
 // and finite.
 type Power []float64
 
-// Validate checks the vector against a system.
+// ErrPowerMismatch reports a power vector whose length differs from the
+// system's link count — typically one built before a mutation added or
+// removed links. Validate wraps it.
+var ErrPowerMismatch = errors.New("sinr: power vector does not match the link set")
+
+// Validate checks the vector against a system: one positive, finite entry
+// per link. A length mismatch wraps ErrPowerMismatch.
 func (p Power) Validate(s *System) error {
 	if len(p) != s.Len() {
-		return fmt.Errorf("sinr: power vector has %d entries for %d links", len(p), s.Len())
+		return fmt.Errorf("%w: %d entries for %d links", ErrPowerMismatch, len(p), s.Len())
 	}
 	for v, pv := range p {
 		if math.IsNaN(pv) || math.IsInf(pv, 0) || pv <= 0 {

@@ -19,14 +19,7 @@ func ComputeAffectancesSharded(ctx context.Context, s *System, p Power, c *shard
 	if n == 0 {
 		return a, ctx.Err()
 	}
-	factor := make([]float64, n)
-	recv := make([]int, n)
-	send := make([]int, n)
-	for v := 0; v < n; v++ {
-		factor[v] = NoiseFactor(s, p, v) * s.Decay(v) / p[v]
-		recv[v] = s.links[v].Receiver
-		send[v] = s.links[v].Sender
-	}
+	factor, recv, send := linkVectors(s, p)
 	err := c.AffectanceBlocks(ctx, n, factor, p, recv, send, func(blk shard.AffectanceBlock) {
 		copy(a.raw[blk.Lo*n:], blk.Rows)
 	})
