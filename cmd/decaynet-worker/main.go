@@ -1,9 +1,13 @@
 // Command decaynet-worker hosts remote shard replicas: a coordinator
 // (an Engine built WithRemoteWorkers) connects over TCP, ships a
 // full-space snapshot via the Sync handshake, keeps the replica current
-// with version-fenced mutation batches, and fans its ζ/ϕ/affectance
-// scans out to the worker's row ranges. One daemon serves any number of
-// coordinator sessions, each with its own replica.
+// with version-fenced mutation batches, and fans its ζ/ϕ max, band and
+// repair scans out to the worker's row ranges (affectance matrices are
+// built on the coordinator and never reach a worker). One daemon serves
+// any number of coordinator sessions, each with its own replica. Row
+// ranges and dirty ids outside the replica are answered bad_request, and a
+// request that panics is answered internal, so no request from a peer can
+// take the daemon down.
 //
 // Usage:
 //

@@ -73,10 +73,10 @@ type Engine struct {
 	vt      *core.VarphiTracker
 
 	// coord, when non-nil (WithShards or WithRemoteWorkers), routes the
-	// exact ζ/ϕ scans, the dense affectance builds and the incremental
-	// session repairs through the row-range sharding runtime. Sharded
-	// results are bit-identical to the unsharded paths; the sampled
-	// estimators (WithApproxMetricity) bypass the coordinator.
+	// exact ζ/ϕ scans and the incremental session repairs through the
+	// row-range sharding runtime. Sharded results are bit-identical to the
+	// unsharded paths; the sampled estimators (WithApproxMetricity) and the
+	// O(links²) affectance builds bypass the coordinator.
 	coord *shard.Coordinator
 
 	// pool, when non-nil (WithRemoteWorkers), is the fault-tolerant remote
@@ -240,12 +240,13 @@ func WithTargetPrecision(eps float64) EngineOption {
 }
 
 // WithShards routes the engine's heavy reductions — the exact ζ/ϕ triplet
-// scans, the dense affectance builds, and the incremental repairs after
-// Update — through a row-range sharding coordinator with k workers
-// (internal/shard). Results are bit-identical to the unsharded engine for
-// every cached product: per-shard maxima merge with max, per-shard band
-// collections seed the same trackers, and per-shard affectance row blocks
-// assemble the same dense matrix. In-process each worker is one goroutine
+// scans and the incremental repairs after Update — through a row-range
+// sharding coordinator with k workers (internal/shard). Results are
+// bit-identical to the unsharded engine for every cached product:
+// per-shard maxima merge with max and per-shard band collections seed the
+// same trackers. Affectance matrices are built in process on the shared
+// worker pool, as in an unsharded session: the O(links²) build is cheaper
+// than shipping its O(links²) output. In-process each worker is one goroutine
 // scanning its row range serially, so k is the session's scan parallelism
 // (the unsharded engine instead uses the shared worker pool); the worker
 // boundary is message-shaped, sized for the cross-machine transport the
@@ -263,10 +264,11 @@ func WithShards(k int) EngineOption {
 	}
 }
 
-// WithRemoteWorkers fans the engine's heavy reductions out across remote
-// worker processes (cmd/decaynet-worker daemons), one shard slot per
-// address, over the length-prefixed JSON-over-TCP transport in
-// internal/shard/remote. Construction dials and Syncs every worker
+// WithRemoteWorkers fans the engine's ζ/ϕ triplet scans and Update repairs
+// out across remote worker processes (cmd/decaynet-worker daemons), one
+// shard slot per address, over the length-prefixed JSON-over-TCP
+// transport in internal/shard/remote; affectance matrices are built on the
+// coordinator (see WithShards). Construction dials and Syncs every worker
 // strictly — a full-space snapshot brings each replica to the session's
 // version — and every applied Update ships its mutation batch to all
 // workers, fenced on the replica version, before repairs fan out. With
@@ -512,13 +514,6 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 		}
 		e.pool = pool
 		e.coord = coord
-	}
-	if e.coord != nil {
-		coord := e.coord
-		sysOpts = append(sysOpts, sinr.WithAffectanceCtxFunc(
-			func(ctx context.Context, s *System, p Power) (*Affectances, error) {
-				return sinr.ComputeAffectancesSharded(ctx, s, p, coord)
-			}))
 	}
 	if ec.knownZeta > 0 {
 		sysOpts = append(sysOpts, WithZeta(ec.knownZeta))

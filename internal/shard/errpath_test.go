@@ -54,9 +54,6 @@ func (w *blockingWorker) VarphiBand(ctx context.Context, _ shard.BandJob) (shard
 func (w *blockingWorker) VarphiRepair(ctx context.Context, _ shard.RepairJob) (shard.BandResult, error) {
 	return shard.BandResult{}, w.block(ctx)
 }
-func (w *blockingWorker) AffectanceRows(ctx context.Context, _ shard.AffectanceJob) (shard.AffectanceBlock, error) {
-	return shard.AffectanceBlock{}, w.block(ctx)
-}
 
 // failingWorker fails every scan after the sibling has entered its own.
 type failingWorker struct {
@@ -86,9 +83,6 @@ func (w *failingWorker) VarphiBand(context.Context, shard.BandJob) (shard.BandRe
 }
 func (w *failingWorker) VarphiRepair(context.Context, shard.RepairJob) (shard.BandResult, error) {
 	return shard.BandResult{}, w.fail()
-}
-func (w *failingWorker) AffectanceRows(context.Context, shard.AffectanceJob) (shard.AffectanceBlock, error) {
-	return shard.AffectanceBlock{}, w.fail()
 }
 
 // TestEachRangeFirstErrorCancelsSiblings proves the coordinator's fan-out
@@ -130,9 +124,9 @@ func TestEachRangeFirstErrorCancelsSiblings(t *testing.T) {
 
 // TestMaxPhaseFirstErrorCancelsSiblings drives the same property through
 // the public scan entry points with fake workers: a failing worker's
-// error surfaces from Coordinator.Zeta (and Varphi, and the affectance
-// fan-out) while the blocking sibling is unblocked by cancellation —
-// asserted with real clocks, not just eventually.
+// error surfaces from Coordinator.Zeta (and Varphi) while the blocking
+// sibling is unblocked by cancellation — asserted with real clocks, not
+// just eventually.
 func TestMaxPhaseFirstErrorCancelsSiblings(t *testing.T) {
 	m := randMatrix(t, 16, 7)
 	boom := errors.New("worker down")
@@ -147,15 +141,6 @@ func TestMaxPhaseFirstErrorCancelsSiblings(t *testing.T) {
 		{"varphi", func(ctx context.Context, c *shard.Coordinator) error {
 			_, err := c.Varphi(ctx)
 			return err
-		}},
-		{"affectance", func(ctx context.Context, c *shard.Coordinator) error {
-			factor := make([]float64, 4)
-			power := make([]float64, 4)
-			idx := []int{0, 1, 2, 3}
-			for i := range factor {
-				factor[i], power[i] = 1, 1
-			}
-			return c.AffectanceBlocks(ctx, 4, factor, power, idx, idx, func(shard.AffectanceBlock) {})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

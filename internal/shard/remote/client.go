@@ -151,7 +151,7 @@ func (c *Client) call(ctx context.Context, method string, version uint64, job an
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	raw, err := json.Marshal(job)
+	raw, err := encodeJob(job)
 	if err != nil {
 		return err
 	}
@@ -167,7 +167,7 @@ func (c *Client) call(ctx context.Context, method string, version uint64, job an
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	if err := c.writeRequest(request{ID: id, Method: method, Version: version, Job: raw}); err != nil {
+	if err := c.writeRequest(encodeRequest(id, method, version, raw)); err != nil {
 		c.mu.Lock()
 		if c.pending != nil {
 			delete(c.pending, id)
@@ -197,7 +197,7 @@ func (c *Client) call(ctx context.Context, method string, version uint64, job an
 		// Best-effort cancel so the worker aborts the scan; a failed write
 		// here means the conn is dying anyway.
 		craw, _ := json.Marshal(cancelJob{ID: id})
-		c.writeRequest(request{Method: methodCancel, Job: craw})
+		c.writeRequest(encodeRequest(0, methodCancel, 0, craw))
 		return ctx.Err()
 	case <-c.closed:
 		c.mu.Lock()
@@ -207,11 +207,11 @@ func (c *Client) call(ctx context.Context, method string, version uint64, job an
 	}
 }
 
-func (c *Client) writeRequest(req request) error {
+func (c *Client) writeRequest(body []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
-	return writeFrame(c.conn, req)
+	return writeBody(c.conn, body)
 }
 
 // Sync implements Transport.
@@ -279,14 +279,4 @@ func (c *Client) VarphiRepair(ctx context.Context, job shard.RepairJob) (shard.B
 	var res shard.BandResult
 	err := c.call(ctx, methodVarphiRepair, c.version(), &job, &res)
 	return res, err
-}
-
-// AffectanceRows implements shard.Worker.
-func (c *Client) AffectanceRows(ctx context.Context, job shard.AffectanceJob) (shard.AffectanceBlock, error) {
-	wj := affJob{Links: job.Links, Factor: Floats(job.Factor), Power: Floats(job.Power), Recv: job.Recv, Send: job.Send}
-	var blk affBlock
-	if err := c.call(ctx, methodAffRows, c.version(), &wj, &blk); err != nil {
-		return shard.AffectanceBlock{}, err
-	}
-	return shard.AffectanceBlock{Lo: blk.Lo, Rows: blk.Rows}, nil
 }

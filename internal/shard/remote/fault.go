@@ -153,13 +153,6 @@ func (t *faultTransport) VarphiRepair(ctx context.Context, job shard.RepairJob) 
 	return t.inner.VarphiRepair(ctx, job)
 }
 
-func (t *faultTransport) AffectanceRows(ctx context.Context, job shard.AffectanceJob) (shard.AffectanceBlock, error) {
-	if ok, err := t.fault(ctx); !ok {
-		return shard.AffectanceBlock{}, err
-	}
-	return t.inner.AffectanceRows(ctx, job)
-}
-
 func (t *faultTransport) Sync(ctx context.Context, snap SyncJob) error {
 	return t.inner.Sync(ctx, snap)
 }

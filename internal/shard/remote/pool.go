@@ -603,15 +603,3 @@ func (w *robustWorker) VarphiRepair(ctx context.Context, job shard.RepairJob) (s
 	})
 	return res, err
 }
-
-func (w *robustWorker) AffectanceRows(ctx context.Context, job shard.AffectanceJob) (shard.AffectanceBlock, error) {
-	var res shard.AffectanceBlock
-	err := w.p.do(ctx, w.slot, func(ctx context.Context, wk shard.Worker) error {
-		r, err := wk.AffectanceRows(ctx, job)
-		if err == nil {
-			res = r
-		}
-		return err
-	})
-	return res, err
-}

@@ -304,9 +304,6 @@ func (c *countingTransport) VarphiBand(context.Context, shard.BandJob) (shard.Ba
 func (c *countingTransport) VarphiRepair(context.Context, shard.RepairJob) (shard.BandResult, error) {
 	return shard.BandResult{}, nil
 }
-func (c *countingTransport) AffectanceRows(context.Context, shard.AffectanceJob) (shard.AffectanceBlock, error) {
-	return shard.AffectanceBlock{}, nil
-}
 func (c *countingTransport) Sync(context.Context, SyncJob) error      { return nil }
 func (c *countingTransport) Mutate(context.Context, MutateJob) error  { return nil }
 func (c *countingTransport) Ping(context.Context) (PingResult, error) { return PingResult{}, nil }

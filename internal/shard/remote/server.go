@@ -160,10 +160,40 @@ func (s *serverConn) run(ctx context.Context) {
 				s.mu.Unlock()
 				cancel()
 			}()
-			result, err := s.dispatch(jctx, &req)
+			result, err := s.serve(jctx, &req)
 			s.reply(req.ID, result, err)
 		}(req)
 	}
+}
+
+// serve runs one request, turning a panic into a KindInternal answer: the
+// payload is untrusted, and no request may take the worker process down.
+func (s *serverConn) serve(ctx context.Context, req *request) (result any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.opts.logf("worker: panic serving %s from %s: %v", req.Method, s.c.RemoteAddr(), r)
+			result, err = nil, &Error{Kind: KindInternal, Msg: fmt.Sprintf("panic serving %s: %v", req.Method, r)}
+		}
+	}()
+	return s.dispatch(ctx, req)
+}
+
+// checkRows rejects a row range outside [0, n) before it reaches a scan.
+func checkRows(r shard.Range, n int) error {
+	if r.Lo < 0 || r.Lo > r.Hi || r.Hi > n {
+		return &Error{Kind: KindBadRequest, Msg: fmt.Sprintf("rows [%d,%d) outside [0,%d)", r.Lo, r.Hi, n)}
+	}
+	return nil
+}
+
+// checkDirty rejects a dirty node id outside [0, n).
+func checkDirty(dirty []int, n int) error {
+	for _, d := range dirty {
+		if d < 0 || d >= n {
+			return &Error{Kind: KindBadRequest, Msg: fmt.Sprintf("dirty node %d outside [0,%d)", d, n)}
+		}
+	}
+	return nil
 }
 
 // reply writes one response frame under the write lock and deadline.
@@ -224,11 +254,15 @@ func (s *serverConn) dispatch(ctx context.Context, req *request) (any, error) {
 	if req.Version != s.version {
 		return nil, &Error{Kind: KindStale, Msg: fmt.Sprintf("replica at version %d, request fenced on %d", s.version, req.Version)}
 	}
+	n := s.rep.N()
 	switch req.Method {
 	case methodZetaMax, methodVarphiMax:
 		var job shard.ScanJob
 		if err := json.Unmarshal(req.Job, &job); err != nil {
 			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
+		}
+		if err := checkRows(job.Rows, n); err != nil {
+			return nil, err
 		}
 		if req.Method == methodZetaMax {
 			return s.work.ZetaMax(ctx, job)
@@ -239,6 +273,9 @@ func (s *serverConn) dispatch(ctx context.Context, req *request) (any, error) {
 		if err := json.Unmarshal(req.Job, &job); err != nil {
 			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
 		}
+		if err := checkRows(job.Rows, n); err != nil {
+			return nil, err
+		}
 		if req.Method == methodZetaBand {
 			return s.work.ZetaBand(ctx, job)
 		}
@@ -248,22 +285,16 @@ func (s *serverConn) dispatch(ctx context.Context, req *request) (any, error) {
 		if err := json.Unmarshal(req.Job, &job); err != nil {
 			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
 		}
+		if err := checkRows(job.Rows, n); err != nil {
+			return nil, err
+		}
+		if err := checkDirty(job.Dirty, n); err != nil {
+			return nil, err
+		}
 		if req.Method == methodZetaRepair {
 			return s.work.ZetaRepair(ctx, job)
 		}
 		return s.work.VarphiRepair(ctx, job)
-	case methodAffRows:
-		var job affJob
-		if err := json.Unmarshal(req.Job, &job); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
-		}
-		blk, err := s.work.AffectanceRows(ctx, shard.AffectanceJob{
-			Links: job.Links, Factor: []float64(job.Factor), Power: []float64(job.Power), Recv: job.Recv, Send: job.Send,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return affBlock{Lo: blk.Lo, Rows: Floats(blk.Rows)}, nil
 	}
 	return nil, &Error{Kind: KindBadRequest, Msg: "unknown method " + req.Method}
 }
@@ -338,6 +369,9 @@ func (s *serverConn) handleMutate(job *MutateJob) (any, error) {
 	}
 	m := s.rep.M()
 	n := m.N()
+	if err := checkDirty(job.Dirty, n); err != nil {
+		return nil, err
+	}
 	for _, re := range job.Rows {
 		if re.Index < 0 || re.Index >= n {
 			return nil, &Error{Kind: KindBadRequest, Msg: fmt.Sprintf("mutate: row %d outside [0,%d)", re.Index, n)}

@@ -1,7 +1,10 @@
 // Package remote is the cross-machine shard transport: a length-prefixed
-// JSON-over-TCP protocol carrying the shard.Worker job/result structs
-// between a coordinator and remote worker processes, each holding its own
-// replica of the session's dense decay space.
+// JSON-over-TCP protocol carrying the shard.Worker job/result structs — the
+// ζ/ϕ max, band and repair scans — between a coordinator and remote worker
+// processes, each holding its own replica of the session's decay space.
+// Affectance matrices never cross the wire: the coordinator builds them
+// from its own copy of the space, since their O(links²) output costs more
+// to ship than to compute.
 //
 // The package has three layers:
 //
@@ -29,12 +32,11 @@
 //     stale-version replies and mid-job connection crashes, driving the
 //     remote equivalence wall.
 //
-// Float arrays on the wire (space snapshots, mutation rows, affectance
-// inputs/blocks) are encoded as base64 of their little-endian IEEE-754
-// bits rather than decimal JSON numbers: bit-exact round-trips by
-// construction (the equivalence wall's contract), ±Inf-safe (affectance
-// factors of dead links), and about half the bytes of shortest-decimal
-// encoding.
+// Float arrays on the wire (space snapshots, mutation rows, scan extrema)
+// are encoded as base64 of their little-endian IEEE-754 bits rather than
+// decimal JSON numbers: bit-exact round-trips by construction (the
+// equivalence wall's contract), ±Inf/NaN-safe (encoding/json rejects
+// both), and about half the bytes of shortest-decimal encoding.
 package remote
 
 import (
@@ -45,8 +47,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"decaynet/internal/shard"
+	"slices"
+	"strconv"
 )
 
 // Protocol methods. Scan methods mirror shard.Worker one-to-one.
@@ -62,7 +64,6 @@ const (
 	methodVarphiMax    = "varphi_max"
 	methodVarphiBand   = "varphi_band"
 	methodVarphiRepair = "varphi_repair"
-	methodAffRows      = "aff_rows"
 )
 
 // Error kinds a worker can answer with. The pool maps them to recovery
@@ -126,16 +127,15 @@ type response struct {
 type Floats []float64
 
 // MarshalJSON implements json.Marshaler.
-func (f Floats) MarshalJSON() ([]byte, error) {
+func (f Floats) MarshalJSON() ([]byte, error) { return wrapBase64(f.bytes()), nil }
+
+// bytes returns the little-endian IEEE-754 bits of f.
+func (f Floats) bytes() []byte {
 	raw := make([]byte, 8*len(f))
 	for i, v := range f {
 		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
 	}
-	out := make([]byte, 2+base64.StdEncoding.EncodedLen(len(raw)))
-	out[0] = '"'
-	base64.StdEncoding.Encode(out[1:], raw)
-	out[len(out)-1] = '"'
-	return out, nil
+	return raw
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -165,12 +165,15 @@ func (f *Floats) UnmarshalJSON(data []byte) error {
 type Int32s []int32
 
 // MarshalJSON implements json.Marshaler.
-func (f Int32s) MarshalJSON() ([]byte, error) {
+func (f Int32s) MarshalJSON() ([]byte, error) { return wrapBase64(f.bytes()), nil }
+
+// bytes returns the little-endian bytes of f.
+func (f Int32s) bytes() []byte {
 	raw := make([]byte, 4*len(f))
 	for i, v := range f {
 		binary.LittleEndian.PutUint32(raw[4*i:], uint32(v))
 	}
-	return wrapBase64(raw), nil
+	return raw
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -192,12 +195,15 @@ func (f *Int32s) UnmarshalJSON(data []byte) error {
 type Float32s []float32
 
 // MarshalJSON implements json.Marshaler.
-func (f Float32s) MarshalJSON() ([]byte, error) {
+func (f Float32s) MarshalJSON() ([]byte, error) { return wrapBase64(f.bytes()), nil }
+
+// bytes returns the little-endian IEEE-754 bits of f.
+func (f Float32s) bytes() []byte {
 	raw := make([]byte, 4*len(f))
 	for i, v := range f {
 		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
 	}
-	return wrapBase64(raw), nil
+	return raw
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -215,12 +221,14 @@ func (f *Float32s) UnmarshalJSON(data []byte) error {
 }
 
 // wrapBase64 encodes raw bytes as a quoted base64 JSON string.
-func wrapBase64(raw []byte) []byte {
-	out := make([]byte, 2+base64.StdEncoding.EncodedLen(len(raw)))
-	out[0] = '"'
-	base64.StdEncoding.Encode(out[1:], raw)
-	out[len(out)-1] = '"'
-	return out
+func wrapBase64(raw []byte) []byte { return appendBase64(nil, raw) }
+
+// appendBase64 appends raw to dst as a quoted base64 JSON string.
+func appendBase64(dst, raw []byte) []byte {
+	dst = slices.Grow(dst, 2+base64.StdEncoding.EncodedLen(len(raw)))
+	dst = append(dst, '"')
+	dst = base64.StdEncoding.AppendEncode(dst, raw)
+	return append(dst, '"')
 }
 
 // unwrapBase64 decodes a quoted base64 JSON string, requiring the payload
@@ -266,6 +274,50 @@ type TieredSnap struct {
 	MaxTiles  int             `json:"max_tiles,omitempty"`
 }
 
+// appendJSON appends the snapshot's JSON encoding, as its struct tags
+// define it, to dst; see SyncJob.appendJSON for why it bypasses
+// encoding/json. Empty arrays and messages are omitted.
+func (ts *TieredSnap) appendJSON(dst []byte) []byte {
+	dst = fmt.Appendf(dst, `{"sym":%t`, ts.Sym)
+	dst = appendRaw(dst, "cfg", ts.Cfg)
+	dst = appendPacked(dst, "near_start", ts.NearStart.bytes())
+	dst = appendPacked(dst, "near_idx", ts.NearIdx.bytes())
+	dst = appendPacked(dst, "near_val", ts.NearVal.bytes())
+	dst = appendPacked(dst, "f32", ts.F32.bytes())
+	dst = appendRaw(dst, "model", ts.Model)
+	dst = appendPacked(dst, "pts", ts.Pts.bytes())
+	dst = appendPacked(dst, "log_max", ts.LogMax.bytes())
+	dst = appendPacked(dst, "log_min", ts.LogMin.bytes())
+	dst = appendPacked(dst, "f_max", ts.FMax.bytes())
+	dst = appendPacked(dst, "f_min", ts.FMin.bytes())
+	if ts.TileRows != 0 {
+		dst = fmt.Appendf(dst, `,"tile_rows":%d`, ts.TileRows)
+	}
+	if ts.MaxTiles != 0 {
+		dst = fmt.Appendf(dst, `,"max_tiles":%d`, ts.MaxTiles)
+	}
+	return append(dst, '}')
+}
+
+// appendPacked appends `,"key":"<base64 of raw>"`, or nothing when raw is
+// empty.
+func appendPacked(dst []byte, key string, raw []byte) []byte {
+	if len(raw) == 0 {
+		return dst
+	}
+	dst = fmt.Appendf(dst, `,%q:`, key)
+	return appendBase64(dst, raw)
+}
+
+// appendRaw appends `,"key":<msg>`, or nothing when msg is empty.
+func appendRaw(dst []byte, key string, msg json.RawMessage) []byte {
+	if len(msg) == 0 {
+		return dst
+	}
+	dst = fmt.Appendf(dst, `,%q:`, key)
+	return append(dst, msg...)
+}
+
 // SyncJob is the full-space snapshot handshake: the coordinator ships its
 // space and replica version to a (re)joining worker, which rebuilds its
 // replica from scratch. Dense sessions ship the flat matrix; tiered
@@ -278,6 +330,22 @@ type SyncJob struct {
 	Version uint64      `json:"version"`
 	Flat    Floats      `json:"flat,omitempty"`
 	Tiered  *TieredSnap `json:"tiered,omitempty"`
+}
+
+// appendJSON appends the job's JSON encoding, as its struct tags define
+// it, to dst. Snapshots are the largest payload the protocol carries —
+// O(n²) bytes for a dense session — so they bypass encoding/json, whose
+// encoder builds its output in a pooled buffer that keeps the largest size
+// it ever reached: one Sync would leave a snapshot-sized buffer reachable
+// for the rest of the process.
+func (j *SyncJob) appendJSON(dst []byte) []byte {
+	dst = fmt.Appendf(dst, `{"n":%d,"tol":%s,"version":%d`, j.N, strconv.FormatFloat(j.Tol, 'g', -1, 64), j.Version)
+	dst = appendPacked(dst, "flat", j.Flat.bytes())
+	if j.Tiered != nil {
+		dst = append(dst, `,"tiered":`...)
+		dst = j.Tiered.appendJSON(dst)
+	}
+	return append(dst, '}')
 }
 
 // RowEdit carries one updated row (or column) of the dense space.
@@ -314,25 +382,32 @@ type cancelJob struct {
 	ID uint64 `json:"id"`
 }
 
-// affJob mirrors shard.AffectanceJob with bit-exact float encoding (the
-// noise factors of dead links are +Inf, which encoding/json rejects).
-type affJob struct {
-	Links  shard.Range `json:"links"`
-	Factor Floats      `json:"factor"`
-	Power  Floats      `json:"power"`
-	Recv   []int       `json:"recv"`
-	Send   []int       `json:"send"`
-}
-
-// affBlock mirrors shard.AffectanceBlock (same reasoning).
-type affBlock struct {
-	Lo   int    `json:"lo"`
-	Rows Floats `json:"rows"`
-}
-
 // DefaultMaxFrame bounds a single frame (1 GiB): a full-space snapshot at
 // n = 8192 is ~720 MB encoded, the largest payload the dense tier ships.
 const DefaultMaxFrame = 1 << 30
+
+// encodeJob encodes a request's job: a Sync snapshot by hand (see
+// SyncJob.appendJSON), every other job through encoding/json.
+func encodeJob(job any) ([]byte, error) {
+	if sj, ok := job.(*SyncJob); ok {
+		return sj.appendJSON(nil), nil
+	}
+	return json.Marshal(job)
+}
+
+// encodeRequest builds the body of a request frame around an encoded job.
+// The envelope is encoded by hand, so a snapshot-sized job never passes
+// through encoding/json's pooled buffer. method is one of the protocol's
+// method constants.
+func encodeRequest(id uint64, method string, version uint64, job []byte) []byte {
+	body := fmt.Appendf(make([]byte, 0, len(job)+64), `{"id":%d,"method":%q`, id, method)
+	if version != 0 {
+		body = fmt.Appendf(body, `,"v":%d`, version)
+	}
+	body = append(body, `,"job":`...)
+	body = append(body, job...)
+	return append(body, '}')
+}
 
 // writeFrame marshals v and writes it as one length-prefixed frame.
 func writeFrame(w io.Writer, v any) error {
@@ -340,29 +415,48 @@ func writeFrame(w io.Writer, v any) error {
 	if err != nil {
 		return err
 	}
+	return writeBody(w, body)
+}
+
+// writeBody writes body as one length-prefixed frame.
+func writeBody(w io.Writer, body []byte) error {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err = w.Write(body)
+	_, err := w.Write(body)
 	return err
 }
 
+// frameChunk is the first buffer readFrame allocates for a frame body.
+const frameChunk = 64 << 10
+
 // readFrame reads one length-prefixed frame body, rejecting frames larger
-// than maxFrame.
+// than maxFrame. The header is untrusted, so the buffer starts at
+// frameChunk and doubles only as body bytes actually arrive: a peer that
+// claims a 1 GiB frame and sends nothing pins 64 KiB, not 1 GiB.
 func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if int64(n) > int64(maxFrame) {
+	n := int64(binary.BigEndian.Uint32(hdr[:]))
+	if n > int64(maxFrame) {
 		return nil, fmt.Errorf("remote: frame of %d bytes exceeds the %d-byte limit", n, maxFrame)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+	body := make([]byte, min(n, frameChunk))
+	for off := 0; ; {
+		if _, err := io.ReadFull(r, body[off:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised more
+			}
+			return nil, err
+		}
+		if int64(len(body)) == n {
+			return body, nil
+		}
+		off = len(body)
+		body = append(body, make([]byte, min(int64(off), n-int64(off)))...)
 	}
-	return body, nil
 }

@@ -1,16 +1,17 @@
 // Package shard is the row-range sharding runtime behind the scaled
-// metricity/affectance paths: a Coordinator partitions the row index space
-// of a dense decay space into K contiguous row-range shards and dispatches
-// each shard's tile-grid work unit (the par.ForTiles granule: the shard's
-// row band of the (x,z) tile grid) to a Worker over a message-shaped
-// boundary, then merges the partial results — per-shard ζ/ϕ maxima and
-// band collections into global tracker state, per-shard affectance row
-// blocks into the dense matrix, per-shard repair collections into the
-// incremental session repairs.
+// metricity paths: a Coordinator partitions the row index space of a dense
+// decay space into K contiguous row-range shards and dispatches each
+// shard's tile-grid work unit (the par.ForTiles granule: the shard's row
+// band of the (x,z) tile grid) to a Worker over a message-shaped boundary,
+// then merges the partial results — per-shard ζ/ϕ maxima and band
+// collections into global tracker state, per-shard repair collections into
+// the incremental session repairs. Affectance matrices are not sharded:
+// their O(links²) build costs no more than shipping its O(links²) output,
+// so sessions build them in process (sinr.ComputeAffectancesCtx).
 //
 // Every reduction the coordinator performs is associative and
 // schedule-independent — maxima merge with max, bands concatenate in shard
-// order, row blocks are disjoint — and every per-triplet value is computed
+// order — and every per-triplet value is computed
 // by the same deterministic kernels as the unsharded scans
 // (core.ZetaScanState / core.VarphiScanState), so the sharded results are
 // bit-identical to the single-machine ones. That property is what lets
@@ -104,44 +105,6 @@ type BandResult struct {
 	Band []core.BandTriplet `json:"band"`
 }
 
-// AffectanceJob asks a worker for the affectance-matrix row block of the
-// links in Links: row w is AffectanceRow over the worker's replica of the
-// decay space. The per-link vectors are precomputed by the coordinator's
-// caller so every shard consumes identical inputs.
-type AffectanceJob struct {
-	Links  Range     `json:"links"`
-	Factor []float64 `json:"factor"`
-	Power  []float64 `json:"power"`
-	Recv   []int     `json:"recv"`
-	Send   []int     `json:"send"`
-}
-
-// AffectanceRow fills out with row w of the affectance matrix,
-//
-//	out[v] = factor[v] · pw / f(send, recv[v]),  out[w] = 0,
-//
-// where send and pw are link w's sender and power, and factor and recv are
-// the per-link vectors of AffectanceJob. It reads only the link×link decays — one F per
-// entry, never a whole space row — and is the single expression every
-// affectance build (dense, patched, sharded, streamed, remote) evaluates,
-// so they all agree bit for bit.
-func AffectanceRow(sp core.Space, w, send int, pw float64, factor []float64, recv []int, out []float64) {
-	for v, rv := range recv {
-		if v == w {
-			out[v] = 0
-			continue
-		}
-		out[v] = factor[v] * pw / sp.F(send, rv)
-	}
-}
-
-// AffectanceBlock is a shard's affectance row block: rows [Lo, Lo+len/n)
-// of the dense matrix, row-major.
-type AffectanceBlock struct {
-	Lo   int       `json:"lo"`
-	Rows []float64 `json:"rows"`
-}
-
 // Worker is the serializable shard boundary: each method is one
 // request/response exchange over plain wire-format values. In-process
 // workers scan a shared Replica serially; a future transport marshals the
@@ -154,7 +117,6 @@ type Worker interface {
 	VarphiMax(ctx context.Context, job ScanJob) (MaxResult, error)
 	VarphiBand(ctx context.Context, job BandJob) (BandResult, error)
 	VarphiRepair(ctx context.Context, job RepairJob) (BandResult, error)
-	AffectanceRows(ctx context.Context, job AffectanceJob) (AffectanceBlock, error)
 }
 
 // ErrStreamed is returned for phases a streamed (row-paged, non-dense)
@@ -171,9 +133,8 @@ var ErrStreamed = errors.New("shard: operation not supported on a streamed repli
 // A streamed replica (NewStreamedReplica) holds no dense matrix at all:
 // instead of an n² log matrix it carries a core.StreamScan — O(n) pruning
 // extrema over a core.RowSpace — and its workers page rows through bounded
-// tile caches during range scans. Max scans and affectance blocks work
-// identically (and bit-identically); trackers and repairs return
-// ErrStreamed.
+// tile caches during range scans. Max scans work identically (and
+// bit-identically); trackers and repairs return ErrStreamed.
 type Replica struct {
 	mu  sync.Mutex
 	m   *core.Matrix // nil for streamed replicas
@@ -253,15 +214,6 @@ func (r *Replica) N() int {
 		return r.m.N()
 	}
 	return r.rows.N()
-}
-
-// space returns the decay space the replica serves: the dense matrix, or
-// the streamed row source.
-func (r *Replica) space() core.Space {
-	if r.m != nil {
-		return r.m
-	}
-	return r.rows
 }
 
 // symmetric reports whether the replica's space certifies exact symmetry
@@ -390,20 +342,6 @@ func (w *localWorker) VarphiRepair(ctx context.Context, job RepairJob) (BandResu
 	return BandResult{Band: band}, err
 }
 
-func (w *localWorker) AffectanceRows(ctx context.Context, job AffectanceJob) (AffectanceBlock, error) {
-	nLinks := len(job.Factor)
-	lo, hi := job.Links.Lo, job.Links.Hi
-	blk := AffectanceBlock{Lo: lo, Rows: make([]float64, (hi-lo)*nLinks)}
-	sp := w.rep.space()
-	for l := lo; l < hi; l++ {
-		if err := ctx.Err(); err != nil {
-			return AffectanceBlock{}, err
-		}
-		AffectanceRow(sp, l, job.Send[l], job.Power[l], job.Factor, job.Recv, blk.Rows[(l-lo)*nLinks:(l-lo+1)*nLinks])
-	}
-	return blk, nil
-}
-
 // NewLocalWorker wraps a replica as an in-process Worker: serial scans on
 // the calling goroutine, exactly the workers New builds. Exported so
 // transports can serve their replicas through the same code path (the
@@ -453,8 +391,8 @@ func New(m *core.Matrix, tol float64, k int) (*Coordinator, error) {
 
 // NewStreamed builds a coordinator over a row-streamed space with k
 // in-process workers sharing one streamed replica — the out-of-core shard
-// path. ζ/ϕ maxima and affectance blocks work bit-identically to New over
-// the materialized space while each worker's row working set stays at
+// path. ζ/ϕ maxima work bit-identically to New over the materialized
+// space while each worker's row working set stays at
 // maxTiles·tileRows rows (non-positive values select the core defaults);
 // trackers and repairs return ErrStreamed. Construction streams every row
 // once for the pruning extrema and is cancellable via ctx.
@@ -521,8 +459,8 @@ func (c *Coordinator) Replica() *Replica { return c.rep }
 // EachRange partitions [0, n) into the coordinator's K shards and runs
 // body(shard, range) concurrently, one goroutine per shard — the generic
 // fan-out every sharded phase is built on. n may differ from the
-// coordinator's row count (the affectance build partitions links, the
-// trace aggregation readings' tx rows). The first error cancels the
+// coordinator's row count only for NewGrid work coordinators (the trace
+// aggregation partitions readings' tx rows). The first error cancels the
 // remaining shards' contexts and is returned; bodies poll ctx per row, so
 // cancellation propagates to every worker well within a row's scan time.
 func (c *Coordinator) EachRange(ctx context.Context, n int, body func(ctx context.Context, shard int, r Range) error) error {
@@ -769,22 +707,4 @@ func (c *Coordinator) RepairVarphi(ctx context.Context, t *core.VarphiTracker, d
 	}
 	t.Reseed(vmax, full)
 	return vmax, nil
-}
-
-// AffectanceBlocks fans an affectance build over the shards — the link
-// rows partition into K blocks, each computed against the workers'
-// replicas from the shared per-link vectors — and calls sink with each
-// shard's block as it completes (sink must be safe for concurrent calls;
-// writing disjoint row blocks of one dense buffer is).
-func (c *Coordinator) AffectanceBlocks(ctx context.Context, nLinks int, factor, power []float64, recv, send []int, sink func(AffectanceBlock)) error {
-	return c.EachRange(ctx, nLinks, func(ctx context.Context, i int, r Range) error {
-		blk, err := c.work[i].AffectanceRows(ctx, AffectanceJob{
-			Links: r, Factor: factor, Power: power, Recv: recv, Send: send,
-		})
-		if err != nil {
-			return err
-		}
-		sink(blk)
-		return nil
-	})
 }

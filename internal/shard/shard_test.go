@@ -8,7 +8,6 @@ import (
 	"decaynet/internal/core"
 	"decaynet/internal/rng"
 	"decaynet/internal/shard"
-	"decaynet/internal/sinr"
 )
 
 // randMatrix builds a deterministic asymmetric dense space.
@@ -161,44 +160,6 @@ func TestShardedTrackerMatchesPool(t *testing.T) {
 		}
 		if want := core.Varphi(mShard); vS != want {
 			t.Fatalf("step %d: sharded varphi %v, fresh scan %v", step, vS, want)
-		}
-	}
-}
-
-// TestShardedAffectanceMatchesDense: blockwise assembly equals the batched
-// build bit for bit.
-func TestShardedAffectanceMatchesDense(t *testing.T) {
-	ctx := context.Background()
-	n := 40
-	m := randMatrix(t, n, 13)
-	links := make([]sinr.Link, 0, n/2)
-	for i := 0; i+1 < n; i += 2 {
-		links = append(links, sinr.Link{Sender: i, Receiver: i + 1})
-	}
-	sys, err := sinr.NewSystem(m, links, sinr.WithNoise(0.01), sinr.WithZeta(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := sinr.UniformPower(sys, 1)
-	want := sinr.ComputeAffectances(sys, p)
-	for _, k := range []int{1, 2, 5, 32} {
-		c, err := shard.New(m, 1e-12, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sinr.ComputeAffectancesSharded(ctx, sys, p, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.N() != want.N() {
-			t.Fatalf("k=%d: size %d vs %d", k, got.N(), want.N())
-		}
-		for w := 0; w < want.N(); w++ {
-			for v := 0; v < want.N(); v++ {
-				if got.Raw(w, v) != want.Raw(w, v) {
-					t.Fatalf("k=%d: affectance (%d,%d) %v, want %v", k, w, v, got.Raw(w, v), want.Raw(w, v))
-				}
-			}
 		}
 	}
 }

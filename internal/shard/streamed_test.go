@@ -7,7 +7,6 @@ import (
 
 	"decaynet/internal/core"
 	"decaynet/internal/shard"
-	"decaynet/internal/sinr"
 )
 
 // TestStreamedScansMatchDense: a streamed coordinator (row-paged replica,
@@ -45,41 +44,6 @@ func TestStreamedScansMatchDense(t *testing.T) {
 				}
 				if v != wantV {
 					t.Fatalf("n=%d sym=%v k=%d: streamed varphi %v, core %v", n, sym, k, v, wantV)
-				}
-			}
-		}
-	}
-}
-
-// TestStreamedAffectanceMatchesDense: affectance row blocks assembled from
-// a streamed replica equal the batched dense build bit for bit.
-func TestStreamedAffectanceMatchesDense(t *testing.T) {
-	ctx := context.Background()
-	n := 40
-	m := randMatrix(t, n, 77)
-	links := make([]sinr.Link, 0, n/2)
-	for i := 0; i+1 < n; i += 2 {
-		links = append(links, sinr.Link{Sender: i, Receiver: i + 1})
-	}
-	sys, err := sinr.NewSystem(m, links, sinr.WithNoise(0.01), sinr.WithZeta(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := sinr.UniformPower(sys, 1)
-	want := sinr.ComputeAffectances(sys, p)
-	for _, k := range []int{1, 4} {
-		c, err := shard.NewStreamed(ctx, m, 1e-12, k, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sinr.ComputeAffectancesSharded(ctx, sys, p, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for w := 0; w < want.N(); w++ {
-			for v := 0; v < want.N(); v++ {
-				if got.Raw(w, v) != want.Raw(w, v) {
-					t.Fatalf("k=%d: affectance (%d,%d) %v, want %v", k, w, v, got.Raw(w, v), want.Raw(w, v))
 				}
 			}
 		}

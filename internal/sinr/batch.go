@@ -4,15 +4,18 @@ import (
 	"context"
 	"math"
 
+	"decaynet/internal/core"
 	"decaynet/internal/par"
-	"decaynet/internal/shard"
 )
 
 // Affectances is the dense pairwise affectance cache for one (system,
 // power) pair: entry (w, v) holds the unclipped a_w(v) of Sec 2.4. It reads
 // only the link×link decays f(s_w, r_v) — one F per entry through
-// shard.AffectanceRow, never a whole space row — and is what the capacity
-// and scheduling algorithms consume.
+// affectanceRow, never a whole space row — and is what the capacity and
+// scheduling algorithms consume. Every session builds it in process on the
+// shared worker pool, sharded and remote ones included: the build and its
+// output are both O(links²), so shipping row blocks to shard workers would
+// cost more than computing them.
 type Affectances struct {
 	n   int
 	raw []float64 // a_w(v) unclipped, row-major by w; +Inf for dead links
@@ -31,6 +34,25 @@ func linkVectors(s *System, p Power) (factor []float64, recv, send []int) {
 		send[v] = s.links[v].Sender
 	}
 	return factor, recv, send
+}
+
+// affectanceRow fills out with row w of the affectance matrix,
+//
+//	out[v] = factor[v] · pw / f(send, recv[v]),  out[w] = 0,
+//
+// where send and pw are link w's sender and power, and factor and recv are
+// the per-link vectors of linkVectors. It reads only the link×link decays —
+// one F per entry, never a whole space row — and is the single expression
+// every affectance build (fresh, patched, per-pair) evaluates, so they all
+// agree bit for bit.
+func affectanceRow(sp core.Space, w, send int, pw float64, factor []float64, recv []int, out []float64) {
+	for v, rv := range recv {
+		if v == w {
+			out[v] = 0
+			continue
+		}
+		out[v] = factor[v] * pw / sp.F(send, rv)
+	}
 }
 
 // ComputeAffectances builds the dense affectance matrix for power vector p.
@@ -60,7 +82,7 @@ func ComputeAffectancesCtx(ctx context.Context, s *System, p Power) (*Affectance
 			if ctx.Err() != nil {
 				return
 			}
-			shard.AffectanceRow(s.space, w, send[w], p[w], factor, recv, a.raw[w*n:(w+1)*n])
+			affectanceRow(s.space, w, send[w], p[w], factor, recv, a.raw[w*n:(w+1)*n])
 		}
 	})
 	if err != nil {
@@ -86,7 +108,7 @@ func PatchAffectances(s *System, p Power, old *Affectances, dirty []int) *Affect
 	}
 	factor, recv, send := linkVectors(s, p)
 	for _, w := range dirty {
-		shard.AffectanceRow(s.space, w, send[w], p[w], factor, recv, a.raw[w*n:(w+1)*n])
+		affectanceRow(s.space, w, send[w], p[w], factor, recv, a.raw[w*n:(w+1)*n])
 	}
 	for _, v := range dirty {
 		for w := 0; w < n; w++ {

@@ -45,12 +45,6 @@ type System struct {
 	zetaFn func(context.Context) (float64, error) // optional lazy ζ source
 	qm     *core.QuasiMetric
 
-	// affFn, when set, replaces ComputeAffectancesCtx as the cache-miss
-	// builder of dense affectance matrices (the session layer's sharded
-	// blockwise assembly). It must produce a matrix bit-identical to the
-	// default build — the cache does not record which builder filled a slot.
-	affFn func(context.Context, *System, Power) (*Affectances, error)
-
 	// Small LRU cache of dense affectance matrices keyed by a fingerprint
 	// of the power vector's values: the scheduling/capacity loops call the
 	// affectance routines with one power assignment many times over, and
@@ -97,11 +91,7 @@ func (s *System) AffectancesCtx(ctx context.Context, p Power) (*Affectances, err
 		return a, nil
 	}
 	s.affMu.Unlock()
-	build := s.affFn
-	if build == nil {
-		build = ComputeAffectancesCtx
-	}
-	aff, err := build(ctx, s, p)
+	aff, err := ComputeAffectancesCtx(ctx, s, p)
 	if err != nil {
 		return nil, err
 	}
@@ -199,15 +189,6 @@ func WithZetaFunc(fn func() float64) Option {
 // the metricity uncached so a later call can retry.
 func WithZetaCtxFunc(fn func(context.Context) (float64, error)) Option {
 	return func(s *System) { s.zetaFn = fn }
-}
-
-// WithAffectanceCtxFunc supplies the builder the affectance cache invokes
-// on a miss instead of ComputeAffectancesCtx (the session layer's sharded
-// blockwise assembly, see ComputeAffectancesSharded). The builder must
-// return a matrix bit-identical to the default build and may be called
-// concurrently. A returned error caches nothing.
-func WithAffectanceCtxFunc(fn func(context.Context, *System, Power) (*Affectances, error)) Option {
-	return func(s *System) { s.affFn = fn }
 }
 
 // NewSystem validates and builds a system. Links must reference distinct
@@ -436,7 +417,7 @@ func (s *System) Sub(linkIdx []int) *System {
 	for i, v := range linkIdx {
 		links[i] = s.links[v]
 	}
-	out := &System{space: s.space, links: links, noise: s.noise, beta: s.beta, zetaFn: s.zetaFn, affFn: s.affFn}
+	out := &System{space: s.space, links: links, noise: s.noise, beta: s.beta, zetaFn: s.zetaFn}
 	s.metMu.Lock()
 	if s.metOK {
 		out.metOK = true

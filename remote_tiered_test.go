@@ -1,7 +1,9 @@
 package decaynet_test
 
 import (
+	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -106,23 +108,30 @@ func TestRemoteTieredFaultInjectionEquivalence(t *testing.T) {
 			}, tieredUrbanOpts(11))
 			assertEquivalent(t, "tiered fault "+fp.name, rem, ref)
 			// A tiered session is immutable, so there is no churn workload;
-			// drive repeated affectance fan-outs (a fresh power vector
-			// recomputes through the workers) until every fault class has
-			// had enough remote calls to fire.
+			// rerun the coordinator's ζ/ϕ max scans through the workers until
+			// every fault class has had enough remote calls to fire.
 			for i := 0; i < 25; i++ {
-				level := float64(2 + i)
-				ar, af := rem.Affectances(rem.UniformPower(level)), ref.Affectances(ref.UniformPower(level))
-				for w := 0; w < ar.N(); w++ {
-					for v := 0; v < ar.N(); v++ {
-						if ar.Raw(w, v) != af.Raw(w, v) {
-							t.Fatalf("tiered fault %s power %v: affectance (%d,%d) %v, local %v",
-								fp.name, level, w, v, ar.Raw(w, v), af.Raw(w, v))
-						}
-					}
-				}
+				rescanMatches(t, "tiered fault "+fp.name+" rescan "+itoa(i), rem, ref)
 			}
 			fp.expect(t, "tiered "+fp.name, rem.RemotePoolStats())
 		})
+	}
+}
+
+// rescanMatches reruns rem's coordinator ζ/ϕ max scans through its
+// workers and requires both to equal the local reference's Zeta and Phi
+// bit for bit.
+func rescanMatches(t *testing.T, tag string, rem, ref *decaynet.Engine) {
+	t.Helper()
+	z, phi, err := rem.CoordinatorScans(context.Background())
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	if math.Float64bits(z) != math.Float64bits(ref.Zeta()) {
+		t.Fatalf("%s: zeta %v, local %v", tag, z, ref.Zeta())
+	}
+	if math.Float64bits(phi) != math.Float64bits(ref.Phi()) {
+		t.Fatalf("%s: phi %v, local %v", tag, phi, ref.Phi())
 	}
 }
 
@@ -160,12 +169,11 @@ func TestRemoteTieredWorkerRejoin(t *testing.T) {
 	}
 
 	farm.Restart(1)
-	// Drive fresh remote work (a new power vector recomputes affectances
-	// through the worker fan-out) until the pool re-admits the worker
-	// through a tiered Sync.
+	// Drive fresh remote work (the coordinator's ζ/ϕ max scans) until the
+	// pool re-admits the worker through a tiered Sync.
 	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; rem.RemotePoolStats().Resyncs <= down.Resyncs && time.Now().Before(deadline); i++ {
-		rem.Affectances(rem.UniformPower(float64(2 + i)))
+		rescanMatches(t, "tiered rejoin rescan "+itoa(i), rem, ref)
 	}
 	assertEquivalent(t, "tiered worker rejoined", rem, ref)
 	if up := rem.RemotePoolStats(); up.Resyncs <= down.Resyncs {
