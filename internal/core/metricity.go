@@ -27,18 +27,14 @@ func Zeta(d Space) float64 {
 // ZetaTol is Zeta with an explicit relative bisection tolerance (used by the
 // bisection-tolerance ablation).
 //
-// The scan is batch-first and cache-blocked: the log-decay matrix is
-// materialized once via the RowSpace contract (no per-element interface
-// calls) and the O(n³) triplet loop runs as (x,z)-tile kernels on the
-// shared worker pool (par.ForTiles), so each decay row is streamed O(n/tile)
-// times instead of O(n). Two prune levels keep most triplets out of the
-// bisection: a whole-row test pairs each (x,z) with the precomputed
-// per-row extrema — if even the strongest possible triplet (largest
-// ln f(x,y), smallest ln f(z,y)) satisfies the inequality at the current
-// best ζ, the entire y-loop is skipped — and surviving triplets are still
-// screened individually against the running maximum. Spaces certifying
-// exact symmetry through the Symmetric marker scan only ordered pairs
-// x < y, halving the triplet set (ζ is invariant under swapping the
+// The scan is batch-first and cache-blocked: the O(n³) triplet loop runs as
+// (x,z)-tile kernels on the shared worker pool (par.ForTiles) over the
+// dense decay rows, so each row is streamed O(n/tile) times instead of
+// O(n). Almost every triplet is discharged by a linear-domain screen that
+// needs no exp or log (see ZetaTolCtx); the few survivors go through the
+// exp screen at the running maximum and then the bisection. Spaces
+// certifying exact symmetry through the Symmetric marker scan only ordered
+// pairs x < y, halving the triplet set (ζ is invariant under swapping the
 // endpoints when f is symmetric). The result equals the per-pair reference
 // up to bisection tolerance.
 func ZetaTol(d Space, tol float64) float64 {
@@ -50,25 +46,64 @@ func ZetaTol(d Space, tol float64) float64 {
 // poll ctx between x-rows (a row is O(tile·n) work, microseconds even at
 // n ≫ 10³), so a cancelled scan returns promptly with ctx.Err() and no
 // partial value.
+//
+// The linear screen rests on the monotonicity of Def. 2.2: a triplet that
+// satisfies the inequality at ζ₀ satisfies it at every ζ ≥ ζ₀. The scan
+// first solves a fixed set of real triplets (zetaSeed, O(n²)) and sets
+// ζ₀ = s/(1+δ), s being their largest solved value; the solver stops
+// within a relative error tol < δ, so ζ₀ lies below that triplet's true
+// value and hence below ζ. It then builds G = f^t₀ with t₀ = 1/ζ₀ once and
+// skips a triplet when
+//
+//	G[x,y]·(1+δ) ≤ G[x,z] + G[z,y],
+//
+// and a whole (x,z) row pair when max_y G[x,y]·(1+δ) ≤ G[x,z] + min_y G[z,y].
+// With a = ln f(x,y), b = ln f(x,z), c = ln f(z,y), a skip says
+// g(t₀) ≥ 1+δ for the slack g(t) = e^((b−a)t) + e^((c−a)t) of zetaTriplet,
+// which is convex and decreasing with root t* = 1/ζ_xyz. Convexity gives
+// t* − t₀ ≥ δ/|g′(t₀)|, and t₀|g′(t₀)| = Σ u·e^(−u) ≤ 2/e (u = (a−b)t₀ and
+// (a−c)t₀), so a skipped triplet has ζ_xyz ≤ ζ₀/(1 + e·δ/2). With
+// δ = 3·tol + 1e-9 (zetaScreenMargin), e·δ/2 exceeds the solver's error
+// with room to spare, and 1e-9 is a hundred times the rounding error of G,
+// so a skipped triplet's solved value stays below ζ₀ — and so does that of
+// any triplet whose exp screen sees a lower running maximum because a
+// skipped one was never solved. The survivors go through the unchanged exp
+// screen and bisection, and the running maximum starts at the floor as
+// before, so the result has the bits the scan gives without the linear
+// screen, for every tol ≥ 0 (including the ablation's 1e-3; from tol = 1/3
+// on, δ ≥ 1 and, since g < 2, nothing is skipped). At coarse tol, ties
+// within tol of the maximum leave the last bits to tile scheduling, with
+// or without the screen. The screen is the first test in the y-loop: it
+// rejects nearly every triplet, so its branch predicts well.
+//
+// Memory: the scan reads the dense decays in place (a *Matrix is not
+// copied; other spaces are materialized once) and holds one extra n×n
+// float64 buffer, G, for its lifetime. Logarithms are taken only for the
+// triplets that survive the screen, bit-identical to ln of the row values.
 func ZetaTolCtx(ctx context.Context, d Space, tol float64) (float64, error) {
 	n := d.N()
 	if n < 3 {
 		return DefaultZetaFloor, ctx.Err()
 	}
-	logs := logMatrix(d)
-	rowMax, rowMin := rowExtrema(logs, n)
+	m := Dense(d)
+	s, err := newZetaScreen(ctx, m, tol)
+	if err != nil {
+		return 0, err
+	}
 	sym := KnownSymmetric(d)
 	var bestBits atomic.Uint64
 	bestBits.Store(math.Float64bits(DefaultZetaFloor))
-	err := par.ForTilesCtx(ctx, n, tripletTile(n), func(xlo, xhi, zlo, zhi int) {
+	err = par.ForTilesCtx(ctx, n, tripletTile(n), func(xlo, xhi, zlo, zhi int) {
 		local := math.Float64frombits(bestBits.Load())
 		t := 1 / local
 		for x := xlo; x < xhi; x++ {
 			if ctx.Err() != nil {
 				return
 			}
-			rowX := logs[x*n : (x+1)*n]
-			maxX := rowMax[x]
+			fX := m.row(x)
+			gX := s.g[x*n : (x+1)*n]
+			gMaxX := s.gMax[x] * s.mul
+			lnMaxX := s.lnMax[x]
 			yStart := 0
 			if sym {
 				yStart = x + 1 // (x,y) and (y,x) triplets coincide
@@ -81,24 +116,32 @@ func ZetaTolCtx(ctx context.Context, d Space, tol float64) (float64, error) {
 				if z == x {
 					continue
 				}
-				b := rowX[z] // ln f(x,z)
-				// Whole-row prune: the strongest triplet this (x,z) pair can
-				// field combines the largest a = ln f(x,y) with the smallest
-				// c = ln f(z,y). If even that satisfies the inequality at the
-				// current best ζ, no y can raise the maximum.
-				if math.Exp((b-maxX)*t)+math.Exp((rowMin[z]-maxX)*t) >= 1 {
+				// Whole-row prunes: the strongest triplet this (x,z) pair
+				// can field combines the largest f(x,y) with the smallest
+				// f(z,y). If even that passes the linear screen, or
+				// satisfies the inequality at the current best ζ, no y can
+				// raise the maximum.
+				gxz := gX[z]
+				if gMaxX <= gxz+s.gMin[z] {
 					continue
 				}
-				rowZ := logs[z*n : (z+1)*n]
+				b := math.Log(fX[z]) // ln f(x,z)
+				if math.Exp((b-lnMaxX)*t)+math.Exp((s.lnMin[z]-lnMaxX)*t) >= 1 {
+					continue
+				}
+				gZ := s.g[z*n : (z+1)*n]
+				fZ := m.row(z)
 				for y := yStart; y < n; y++ {
-					if y == x || y == z {
+					// The linear screen comes first: it rejects nearly
+					// every triplet, so its branch predicts well.
+					if gX[y]*s.mul <= gxz+gZ[y] || y == x || y == z {
 						continue
 					}
-					a := rowX[y] // ln f(x,y)
+					a := math.Log(fX[y]) // ln f(x,y)
 					if a <= b {
 						continue // right side dominates at every ζ
 					}
-					c := rowZ[y] // ln f(z,y)
+					c := math.Log(fZ[y]) // ln f(z,y)
 					if a <= c {
 						continue
 					}
@@ -121,6 +164,178 @@ func ZetaTolCtx(ctx context.Context, d Space, tol float64) (float64, error) {
 		return 0, err
 	}
 	return math.Float64frombits(bestBits.Load()), nil
+}
+
+// zetaScreen is what the linear screen of ZetaTolCtx reads.
+type zetaScreen struct {
+	g            []float64 // G = f^t₀, row-major, zero diagonal
+	gMax, gMin   []float64 // per-row off-diagonal extrema of G
+	lnMax, lnMin []float64 // per-row off-diagonal extrema of ln f
+	mul          float64   // 1+δ; +Inf switches the screen off
+}
+
+// newZetaScreen derives ζ₀ from zetaSeed and builds G = f^(1/ζ₀) with its
+// row extrema (see ZetaTolCtx). ctx is polled per row.
+func newZetaScreen(ctx context.Context, m *Matrix, tol float64) (*zetaScreen, error) {
+	n := m.n
+	s := &zetaScreen{lnMax: make([]float64, n), lnMin: make([]float64, n)}
+	seed, err := zetaSeed(ctx, m, tol, s.lnMax, s.lnMin)
+	if err != nil {
+		return nil, err
+	}
+	delta := zetaScreenMargin(tol)
+	t0 := (1 + delta) / seed // 1/ζ₀
+	s.g = make([]float64, n*n)
+	s.gMax, s.gMin = make([]float64, n), make([]float64, n)
+	var wide atomic.Bool
+	err = par.ForChunkedCtx(ctx, n, func(lo, hi int) {
+		for i := lo; i < hi && ctx.Err() == nil; i++ {
+			out := s.g[i*n : (i+1)*n]
+			mx, mn := math.Inf(-1), math.Inf(1)
+			for j, v := range m.row(i) {
+				if j == i {
+					continue
+				}
+				y := t0 * screenLog2(v)
+				if !(math.Abs(y) <= maxScreenExp) {
+					wide.Store(true)
+					y = 0
+				}
+				out[j] = screenExp2(y)
+				mx = max(mx, out[j])
+				mn = min(mn, out[j])
+			}
+			s.gMax[i], s.gMin[i] = mx, mn
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.mul = 1 + delta
+	if wide.Load() {
+		// A decay below 2^−1000 or above 2^1000 (at t₀ = 1) would leave
+		// the normal float64 range in G: switch the screen off.
+		s.mul = math.Inf(1)
+	}
+	return s, nil
+}
+
+// maxScreenExp bounds the exponents of G: 2^±1000 are normal float64s.
+const maxScreenExp = 1000
+
+// zetaScreenMargin returns δ for the linear screen at bisection tolerance
+// tol (see ZetaTolCtx): 3·tol covers the solver's stopping error twice
+// over — once for the seed value behind ζ₀, once for a skipped triplet —
+// and 1e-9 the error of screenLog2/screenExp2 (below 1e-11 relative) and
+// of the screen's own product and sum.
+func zetaScreenMargin(tol float64) float64 {
+	return 3*math.Max(tol, 0) + 1e-9
+}
+
+// zetaSeed returns the largest zetaTriplet value over two real triplets
+// per node x, the basis of the linear screen's ζ₀ (see ZetaTolCtx), and
+// fills lnMax[x], lnMin[x] with the logarithms of row x's largest and
+// smallest off-diagonal decay. The first triplet pairs x with its farthest
+// node y (largest f(x,y)) and the relay z that minimizes
+// max(f(x,z), f(y,z)); the second pairs x with its nearest node z
+// (smallest f(x,z)) and the y that maximizes f(x,y)/max(f(x,z), f(z,y)).
+// O(n²) work over contiguous rows, a logarithm only per candidate.
+func zetaSeed(ctx context.Context, m *Matrix, tol float64, lnMax, lnMin []float64) (float64, error) {
+	n := m.n
+	var bestBits atomic.Uint64
+	bestBits.Store(math.Float64bits(DefaultZetaFloor))
+	err := par.ForChunkedCtx(ctx, n, func(lo, hi int) {
+		best := DefaultZetaFloor
+		try := func(x, y, z int) {
+			if zt := zetaTriplet(math.Log(m.f[x*n+y]), math.Log(m.f[x*n+z]), math.Log(m.f[z*n+y]), tol); zt > best {
+				best = zt
+			}
+		}
+		for x := lo; x < hi && ctx.Err() == nil; x++ {
+			fX := m.row(x)
+			far, near := -1, -1
+			for j, v := range fX {
+				if j == x {
+					continue
+				}
+				if far < 0 || v > fX[far] {
+					far = j
+				}
+				if near < 0 || v < fX[near] {
+					near = j
+				}
+			}
+			lnMax[x], lnMin[x] = math.Log(fX[far]), math.Log(fX[near])
+			// One pass picks the relay for the farthest pair, chosen on
+			// f(y,z) (equal to f(z,y) on symmetric spaces, and a contiguous
+			// row either way), and the target for the nearest relay, which
+			// maximizes f(x,y)/max(f(x,z), f(z,y)) without dividing.
+			fY, fZ := m.row(far), m.row(near)
+			fxz := fX[near]
+			relay, worst := -1, math.Inf(1)
+			target, num, den := -1, 0.0, 1.0
+			for j, v := range fX {
+				if j == x {
+					continue
+				}
+				if w := max(v, fY[j]); w < worst && j != far {
+					relay, worst = j, w
+				}
+				if w := max(fxz, fZ[j]); v*den > num*w && j != near {
+					target, num, den = j, v, w
+				}
+			}
+			try(x, far, relay)
+			try(x, target, near)
+		}
+		storeMax(&bestBits, best)
+	})
+	if err != nil {
+		return 0, err
+	}
+	return math.Float64frombits(bestBits.Load()), nil
+}
+
+// Tables for screenLog2 and screenExp2 over 64 sub-intervals of an octave:
+// screenInv[j] = 1/(1+j/64), screenLg[j] = log₂(1+j/64), screenPow[j] =
+// 2^(j/64).
+var screenInv, screenLg, screenPow [64]float64
+
+func init() {
+	for j := range screenInv {
+		c := 1 + float64(j)/64
+		screenInv[j] = 1 / c
+		screenLg[j] = math.Log2(c)
+		screenPow[j] = math.Exp2(float64(j) / 64)
+	}
+}
+
+// screenLog2 returns log₂ v for a positive finite v with absolute error
+// below 1e-11: v = 2^e·c_j·(1+u) with c_j the table point at or below the
+// mantissa, so 0 ≤ u < 1/64 and five terms of the ln(1+u) series leave a
+// remainder below u⁶/6 < 3e-12. Subnormal v take math.Log2.
+func screenLog2(v float64) float64 {
+	if v < 0x1p-1022 {
+		return math.Log2(v)
+	}
+	bits := math.Float64bits(v)
+	j := bits >> 46 & 63
+	mant := math.Float64frombits(bits&(1<<52-1) | 1023<<52)
+	u := mant*screenInv[j] - 1
+	ln1p := u * (1 - u*(1.0/2-u*(1.0/3-u*(1.0/4-u*(1.0/5)))))
+	return float64(int(bits>>52)-1023) + screenLg[j] + ln1p*math.Log2E
+}
+
+// screenExp2 returns 2^y for |y| ≤ 1000 with relative error below 1e-11:
+// y = k + j/64 + r with 0 ≤ r < 1/64, and five terms of the e^(r·ln 2)
+// series leave a relative remainder below 2e-12.
+func screenExp2(y float64) float64 {
+	k := math.Floor(y)
+	f := (y - k) * 64
+	j := int(f)
+	w := (f - float64(j)) * (math.Ln2 / 64)
+	p := 1 + w*(1+w*(1.0/2+w*(1.0/6+w*(1.0/24))))
+	return screenPow[j] * p * math.Float64frombits(uint64(int64(k)+1023)<<52)
 }
 
 // tripletTile returns the (x,z) tile edge for an n-node triplet scan: small

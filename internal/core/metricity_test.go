@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -200,10 +201,15 @@ func (f funcSpace) F(i, j int) float64 {
 	return float64(i + j + 1)
 }
 
+// TestZetaSampledLowerBoundsExact: the batched estimator never exceeds the
+// exact ζ, and a budget well past the triplet population pins it.
 func TestZetaSampledLowerBoundsExact(t *testing.T) {
 	m := randomSpace(t, 21, 12, 0.5, 40)
 	exact := Zeta(m)
-	sampled := ZetaSampled(m, 20000, rng.New(1))
+	sampled, k := ZetaSampledBatch(m, 20000, rng.New(1))
+	if k != 20000 {
+		t.Fatalf("evaluated %d triplets, want 20000", k)
+	}
 	if sampled > exact*(1+1e-9) {
 		t.Fatalf("sampled %v exceeds exact %v", sampled, exact)
 	}
@@ -214,51 +220,36 @@ func TestZetaSampledLowerBoundsExact(t *testing.T) {
 	}
 }
 
+// TestZetaSampledTinySpace: spaces with fewer than three nodes have no
+// triplet, so every sampled form reports the floor and evaluates nothing.
 func TestZetaSampledTinySpace(t *testing.T) {
+	empty, _ := NewMatrix(nil)
+	one, _ := NewMatrix([][]float64{{0}})
 	two, _ := NewMatrix([][]float64{{0, 5}, {9, 0}})
-	if z := ZetaSampled(two, 100, rng.New(1)); z != DefaultZetaFloor {
-		t.Errorf("tiny sampled zeta = %v", z)
-	}
-}
-
-// TestDistinctTripletAlwaysDistinct: the redraw loop (the fix for the
-// silent sample loss of skipped collisions) yields pairwise-distinct
-// indices every draw, including at the minimum n = 3 where two thirds of
-// naive draws collide.
-func TestDistinctTripletAlwaysDistinct(t *testing.T) {
-	for _, n := range []int{3, 4, 10} {
-		src := rng.New(uint64(n))
-		seen := make(map[[3]int]bool)
-		// 20000 draws: comfortably past the ~5160-draw coupon-collector
-		// expectation for n=10's 720 ordered triplets, so the exact-coverage
-		// assertion is robust to rng-stream changes, not seed luck.
-		for s := 0; s < 20000; s++ {
-			x, y, z := distinctTriplet(src, n)
-			if x == y || y == z || x == z {
-				t.Fatalf("n=%d: collision (%d,%d,%d)", n, x, y, z)
-			}
-			if x < 0 || x >= n || y < 0 || y >= n || z < 0 || z >= n {
-				t.Fatalf("n=%d: out of range (%d,%d,%d)", n, x, y, z)
-			}
-			seen[[3]int{x, y, z}] = true
+	for _, m := range []*Matrix{empty, one, two} {
+		if z, k := ZetaSampledBatch(m, 100, rng.New(1)); z != DefaultZetaFloor || k != 0 {
+			t.Errorf("n=%d: batch zeta = (%v, %d)", m.N(), z, k)
 		}
-		// All n(n-1)(n-2) ordered triplets should appear.
-		if want := n * (n - 1) * (n - 2); len(seen) != want {
-			t.Errorf("n=%d: %d distinct triplets drawn, want %d", n, len(seen), want)
+		if est := ZetaSampledEstimate(m, 100, rng.New(1)); est.Value != DefaultZetaFloor || est.Evaluated != 0 || est.Strata != 0 {
+			t.Errorf("n=%d: estimate = %+v", m.N(), est)
 		}
 	}
 }
 
-// TestZetaSampledFullBudget: with the redraw fix, a modest budget on n=3
-// (where naive sampling loses ~78%% of draws to collisions) pins the exact
-// ζ — every sample evaluates a real triplet and only 6 exist.
+// TestZetaSampledFullBudget: the batched estimator redraws colliding third
+// indices, so on n = 3 — where two thirds of naive draws collide — every
+// draw evaluates a real triplet, and a modest budget pins the exact ζ.
 func TestZetaSampledFullBudget(t *testing.T) {
 	m, err := NewMatrix([][]float64{{0, 1, 200}, {1, 0, 10}, {200, 10, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	exact := Zeta(m)
-	if got := ZetaSampled(m, 100, rng.New(3)); math.Abs(got-exact) > 1e-9*exact {
+	got, k := ZetaSampledBatch(m, 640, rng.New(3))
+	if k != 640 {
+		t.Fatalf("evaluated %d triplets, want 640", k)
+	}
+	if math.Abs(got-exact) > 1e-9*exact {
 		t.Fatalf("sampled %v != exact %v on n=3", got, exact)
 	}
 }
@@ -451,5 +442,112 @@ func TestQuickZetaScaleInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestScreenLog2Exp2Accuracy pins the error bounds the linear screen's
+// margin is sized for: screenLog2 within 1e-11 absolute over the whole
+// positive float64 range (subnormals included), screenExp2 within 1e-11
+// relative over [−1000, 1000] and exact on integers.
+func TestScreenLog2Exp2Accuracy(t *testing.T) {
+	src := rng.New(1)
+	for i := 0; i < 200000; i++ {
+		v := math.Exp2(src.Range(-1074, 1023.99))
+		if got, want := screenLog2(v), math.Log2(v); math.Abs(got-want) > 1e-11 {
+			t.Fatalf("screenLog2(%v) = %v, want %v", v, got, want)
+		}
+		y := src.Range(-maxScreenExp, maxScreenExp)
+		if got, want := screenExp2(y), math.Exp2(y); math.Abs(got-want) > 1e-11*want {
+			t.Fatalf("screenExp2(%v) = %v, want %v", y, got, want)
+		}
+	}
+	for e := -maxScreenExp; e <= maxScreenExp; e++ {
+		if got := screenExp2(float64(e)); got != math.Ldexp(1, e) {
+			t.Fatalf("screenExp2(%d) = %v", e, got)
+		}
+	}
+}
+
+// TestZetaScreenSkipsAreSafe checks the bound behind the linear screen
+// triplet by triplet: ζ₀ does not exceed the exact ζ, every triplet the
+// screen skips solves below ζ₀, and a whole-row skip only covers triplets
+// the per-triplet test skips too — at the tight tolerance and at the
+// ablation's 1e-3. Among the spaces, a grid under geometric path loss has
+// many exact ties at ζ = α, the closest a triplet can come to ζ₀.
+func TestZetaScreenSkipsAreSafe(t *testing.T) {
+	grid, err := NewGeometricSpace(gridPoints(4), 2.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spaces := map[string]*Matrix{
+		"asym": randomSpace(t, 5, 24, 0.01, 100),
+		"sym":  Symmetrized(randomSpace(t, 6, 24, 0.5, 2)),
+		"grid": Materialize(grid),
+	}
+	ctx := context.Background()
+	for name, m := range spaces {
+		n := m.N()
+		for _, tol := range []float64{1e-12, 1e-6, 1e-3} {
+			s, err := newZetaScreen(ctx, m, tol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed, err := zetaSeed(ctx, m, tol, make([]float64, n), make([]float64, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			zeta0 := seed / (1 + zetaScreenMargin(tol))
+			if exact := ZetaPerPair(m, tol); zeta0 > exact {
+				t.Fatalf("%s tol=%g: ζ₀ %v above exact ζ %v", name, tol, zeta0, exact)
+			}
+			if s.mul != 1+zetaScreenMargin(tol) {
+				t.Fatalf("%s tol=%g: screen multiplier %v", name, tol, s.mul)
+			}
+			skipped := 0
+			for x := 0; x < n; x++ {
+				for z := 0; z < n; z++ {
+					if z == x {
+						continue
+					}
+					rowSkip := s.gMax[x]*s.mul <= s.g[x*n+z]+s.gMin[z]
+					for y := 0; y < n; y++ {
+						if y == x || y == z {
+							continue
+						}
+						if s.g[x*n+y]*s.mul > s.g[x*n+z]+s.g[z*n+y] {
+							if rowSkip {
+								t.Fatalf("%s tol=%g: row skip covers unskipped triplet (%d,%d,%d)", name, tol, x, y, z)
+							}
+							continue
+						}
+						skipped++
+						zt := zetaTriplet(math.Log(m.F(x, y)), math.Log(m.F(x, z)), math.Log(m.F(z, y)), tol)
+						if zt >= zeta0 && zt > DefaultZetaFloor {
+							t.Fatalf("%s tol=%g: skipped triplet (%d,%d,%d) solves to %v ≥ ζ₀ %v", name, tol, x, y, z, zt, zeta0)
+						}
+					}
+				}
+			}
+			if skipped == 0 {
+				t.Fatalf("%s tol=%g: the screen skipped nothing", name, tol)
+			}
+		}
+	}
+}
+
+// TestZetaScreenSwitchesOff: decays near 10^301 put G's exponents past the
+// normal float64 range at ζ₀ ≈ 1, so the screen switches itself off and
+// the scan solves every surviving triplet as the per-pair oracle does.
+func TestZetaScreenSwitchesOff(t *testing.T) {
+	m := randomSpace(t, 8, 16, 1e301, 1.9e301)
+	s, err := newZetaScreen(context.Background(), m, 1e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(s.mul, 1) {
+		t.Fatalf("screen multiplier %v, want +Inf", s.mul)
+	}
+	if got, ref := Zeta(m), ZetaPerPair(m, 1e-12); got != ref {
+		t.Fatalf("zeta %v, per-pair %v", got, ref)
 	}
 }

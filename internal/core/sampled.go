@@ -20,45 +20,6 @@ import (
 // a modest sample budget still spreads over many row pairs.
 const sampleRowBlock = 64
 
-// ZetaSampled estimates ζ from exactly `samples` uniformly random ordered
-// triplets of distinct nodes, serially and per-pair — a lower bound on the
-// exact ζ. Colliding index draws are redrawn until distinct, so the full
-// sample budget is always evaluated; a triplet costs a geometrically
-// distributed number of extra draws with expectation below 3/(n−2), i.e.
-// at most 3 expected draws per triplet even at the minimum n = 3.
-// Prefer ZetaSampledBatch for large spaces: it draws whole rows and runs
-// on the worker pool.
-func ZetaSampled(d Space, samples int, src *rng.Source) float64 {
-	n := d.N()
-	if n < 3 {
-		return DefaultZetaFloor
-	}
-	best := DefaultZetaFloor
-	for s := 0; s < samples; s++ {
-		x, y, z := distinctTriplet(src, n)
-		zt := zetaTriplet(math.Log(d.F(x, y)), math.Log(d.F(x, z)), math.Log(d.F(z, y)), 1e-12)
-		if zt > best {
-			best = zt
-		}
-	}
-	return best
-}
-
-// distinctTriplet draws an ordered triplet of pairwise-distinct indices in
-// [0, n), redrawing collisions. Requires n ≥ 3.
-func distinctTriplet(src *rng.Source, n int) (x, y, z int) {
-	x = src.Intn(n)
-	y = src.Intn(n)
-	for y == x {
-		y = src.Intn(n)
-	}
-	z = src.Intn(n)
-	for z == x || z == y {
-		z = src.Intn(n)
-	}
-	return x, y, z
-}
-
 // SampledEstimate is a sampled metricity estimate together with a simple
 // concentration statement over its strata. Value — the maximum over every
 // evaluated triplet — is the point estimate and a lower bound on the exact
