@@ -64,8 +64,8 @@ func ZetaTol(d Space, tol float64) float64 {
 // t* − t₀ ≥ δ/|g′(t₀)|, and t₀|g′(t₀)| = Σ u·e^(−u) ≤ 2/e (u = (a−b)t₀ and
 // (a−c)t₀), so a skipped triplet has ζ_xyz ≤ ζ₀/(1 + e·δ/2). With
 // δ = 3·tol + 1e-9 (zetaScreenMargin), e·δ/2 exceeds the solver's error
-// with room to spare, and 1e-9 is a hundred times the rounding error of G,
-// so a skipped triplet's solved value stays below ζ₀ — and so does that of
+// with room to spare, and 1e-9 lies far above the rounding error of G
+// (see zetaScreenMargin), so a skipped triplet's solved value stays below ζ₀ — and so does that of
 // any triplet whose exp screen sees a lower running maximum because a
 // skipped one was never solved. The survivors go through the unchanged exp
 // screen and bisection, and the running maximum starts at the floor as
@@ -76,9 +76,10 @@ func ZetaTol(d Space, tol float64) float64 {
 // or without the screen. The screen is the first test in the y-loop: it
 // rejects nearly every triplet, so its branch predicts well.
 //
-// Memory: the scan reads the dense decays in place (a *Matrix is not
-// copied; other spaces are materialized once) and holds one extra n×n
-// float64 buffer, G, for its lifetime. Logarithms are taken only for the
+// Memory: the scan holds one n×n float64 buffer, G, for its lifetime and
+// reads the dense decays in place. A *Matrix is not copied, so its peak is
+// that of a scan over a log matrix; any other space is materialized once
+// (Dense) next to G, two n×n buffers. Logarithms are taken only for the
 // triplets that survive the screen, bit-identical to ln of the row values.
 func ZetaTolCtx(ctx context.Context, d Space, tol float64) (float64, error) {
 	n := d.N()
@@ -196,12 +197,12 @@ func newZetaScreen(ctx context.Context, m *Matrix, tol float64) (*zetaScreen, er
 				if j == i {
 					continue
 				}
-				y := t0 * screenLog2(v)
+				y := t0 * math.Log2(v)
 				if !(math.Abs(y) <= maxScreenExp) {
 					wide.Store(true)
 					y = 0
 				}
-				out[j] = screenExp2(y)
+				out[j] = math.Exp2(y)
 				mx = max(mx, out[j])
 				mn = min(mn, out[j])
 			}
@@ -226,8 +227,9 @@ const maxScreenExp = 1000
 // zetaScreenMargin returns δ for the linear screen at bisection tolerance
 // tol (see ZetaTolCtx): 3·tol covers the solver's stopping error twice
 // over — once for the seed value behind ζ₀, once for a skipped triplet —
-// and 1e-9 the error of screenLog2/screenExp2 (below 1e-11 relative) and
-// of the screen's own product and sum.
+// and 1e-9 the error of G (math.Log2 and math.Exp2 within an ulp or two,
+// and |t₀·log₂ f| ≤ 1000, so below 1e-12 relative) and of the screen's own
+// product and sum.
 func zetaScreenMargin(tol float64) float64 {
 	return 3*math.Max(tol, 0) + 1e-9
 }
@@ -294,48 +296,6 @@ func zetaSeed(ctx context.Context, m *Matrix, tol float64, lnMax, lnMin []float6
 		return 0, err
 	}
 	return math.Float64frombits(bestBits.Load()), nil
-}
-
-// Tables for screenLog2 and screenExp2 over 64 sub-intervals of an octave:
-// screenInv[j] = 1/(1+j/64), screenLg[j] = log₂(1+j/64), screenPow[j] =
-// 2^(j/64).
-var screenInv, screenLg, screenPow [64]float64
-
-func init() {
-	for j := range screenInv {
-		c := 1 + float64(j)/64
-		screenInv[j] = 1 / c
-		screenLg[j] = math.Log2(c)
-		screenPow[j] = math.Exp2(float64(j) / 64)
-	}
-}
-
-// screenLog2 returns log₂ v for a positive finite v with absolute error
-// below 1e-11: v = 2^e·c_j·(1+u) with c_j the table point at or below the
-// mantissa, so 0 ≤ u < 1/64 and five terms of the ln(1+u) series leave a
-// remainder below u⁶/6 < 3e-12. Subnormal v take math.Log2.
-func screenLog2(v float64) float64 {
-	if v < 0x1p-1022 {
-		return math.Log2(v)
-	}
-	bits := math.Float64bits(v)
-	j := bits >> 46 & 63
-	mant := math.Float64frombits(bits&(1<<52-1) | 1023<<52)
-	u := mant*screenInv[j] - 1
-	ln1p := u * (1 - u*(1.0/2-u*(1.0/3-u*(1.0/4-u*(1.0/5)))))
-	return float64(int(bits>>52)-1023) + screenLg[j] + ln1p*math.Log2E
-}
-
-// screenExp2 returns 2^y for |y| ≤ 1000 with relative error below 1e-11:
-// y = k + j/64 + r with 0 ≤ r < 1/64, and five terms of the e^(r·ln 2)
-// series leave a relative remainder below 2e-12.
-func screenExp2(y float64) float64 {
-	k := math.Floor(y)
-	f := (y - k) * 64
-	j := int(f)
-	w := (f - float64(j)) * (math.Ln2 / 64)
-	p := 1 + w*(1+w*(1.0/2+w*(1.0/6+w*(1.0/24))))
-	return screenPow[j] * p * math.Float64frombits(uint64(int64(k)+1023)<<52)
 }
 
 // tripletTile returns the (x,z) tile edge for an n-node triplet scan: small

@@ -445,25 +445,45 @@ func TestQuickZetaScaleInvariant(t *testing.T) {
 	}
 }
 
-// TestScreenLog2Exp2Accuracy pins the error bounds the linear screen's
-// margin is sized for: screenLog2 within 1e-11 absolute over the whole
-// positive float64 range (subnormals included), screenExp2 within 1e-11
-// relative over [−1000, 1000] and exact on integers.
-func TestScreenLog2Exp2Accuracy(t *testing.T) {
-	src := rng.New(1)
-	for i := 0; i < 200000; i++ {
-		v := math.Exp2(src.Range(-1074, 1023.99))
-		if got, want := screenLog2(v), math.Log2(v); math.Abs(got-want) > 1e-11 {
-			t.Fatalf("screenLog2(%v) = %v, want %v", v, got, want)
+// TestZetaScreenNearUnitDecays: decays a few ulps below 1 put t₀·log₂ f
+// within rounding of zero. G must stay in (0, 1] there, the screen must
+// stay on, and the scan must agree with the per-pair oracle — at ζ₀ ≈ 4
+// (t₀ ≈ 1/4, one triplet 16 > 1 + 1) and at ζ₀ ≈ 1 (16 replaced by 2).
+func TestZetaScreenNearUnitDecays(t *testing.T) {
+	const n = 40
+	for _, far := range []float64{16, 2} {
+		src := rng.New(3)
+		m, err := FromFunc(n, func(i, j int) float64 {
+			if i == 0 && j == 1 {
+				return far
+			}
+			// 1 − k·2⁻⁵³ for k in [1, 400]: from math.Nextafter(1, 0)
+			// down to about 1 − 4.4e-14.
+			return 1 - float64(1+src.Intn(400))*0x1p-53
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		y := src.Range(-maxScreenExp, maxScreenExp)
-		if got, want := screenExp2(y), math.Exp2(y); math.Abs(got-want) > 1e-11*want {
-			t.Fatalf("screenExp2(%v) = %v, want %v", y, got, want)
+		m.f[2] = math.Nextafter(1, 0)
+		m.f[3] = 1 - 4e-14
+		s, err := newZetaScreen(context.Background(), m, 1e-12)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for e := -maxScreenExp; e <= maxScreenExp; e++ {
-		if got := screenExp2(float64(e)); got != math.Ldexp(1, e) {
-			t.Fatalf("screenExp2(%d) = %v", e, got)
+		if math.IsInf(s.mul, 1) {
+			t.Fatalf("far=%v: screen switched off", far)
+		}
+		for i, g := range s.g {
+			if i%(n+1) != 0 && m.f[i] < 1 && !(g > 0 && g <= 1) {
+				t.Fatalf("far=%v: G[%d] = %v for decay %v", far, i, g, m.f[i])
+			}
+		}
+		got, ref := Zeta(m), ZetaPerPair(m, 1e-12)
+		if want := math.Log2(far); math.Abs(ref-want) > 1e-6*want {
+			t.Fatalf("far=%v: per-pair ζ %v, want ≈ %v", far, ref, want)
+		}
+		if math.Abs(got-ref) > 1e-9*ref {
+			t.Fatalf("far=%v: zeta %v, per-pair %v", far, got, ref)
 		}
 	}
 }
