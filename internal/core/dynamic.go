@@ -21,15 +21,23 @@ import (
 // indices lies in M, so Repair drops the set's dirty-incident members and
 // re-scans exactly the dirty-incident triplets — full rows for x ∈ M,
 // the (x, ·, z ∈ M) and (x, y ∈ M, ·) slices for clean x — collecting
-// values above the *same* floor τ. Because τ sits just below the maximum,
-// the whole-pair prunes discharge almost every pair without touching an
-// inner loop: the repair is O(|M|·n) pair probes plus a handful of
-// survivors, against the O(n³) full scan. A mutation that lowers the
-// maximum simply pops to the next candidate; only when the set drains
-// completely (the maximum fell below τ) does a full rescan run and reset
-// the floor. Values are computed by the same kernels as the one-shot
-// scans, so the tracked maximum is bit-identical to a from-scratch
-// computation.
+// values above the *same* floor τ. A row-only mutation (SetRows /
+// SetDecays; only node moves rewrite columns) narrows this further: a ζ
+// triplet (x, y, z) reads rows x and z only (f(x,y), f(x,z), f(z,y)) and
+// a ϕ triplet rows x and y only (f(x,z), f(x,y), f(y,z)), so its value
+// changed only if one of those two rows is dirty. Repair then drops only
+// the candidates with a dirty read row and, for clean x, rescans only the
+// (x, ·, z ∈ M) pairs for ζ and the (x, y ∈ M, ·) pairs for ϕ. A kept
+// candidate reads untouched entries, so its stored value is bit-identical
+// to a rescan's and the set is still exactly "every triplet above τ".
+// Because τ sits just below the maximum, the whole-pair prunes discharge
+// almost every pair without touching an inner loop: the repair is
+// O(|M|·n) pair probes plus a handful of survivors, against the O(n³)
+// full scan. A mutation that lowers the maximum simply pops to the next
+// candidate; only when the set drains completely (the maximum fell below
+// τ) does a full rescan run and reset the floor. Values are computed by
+// the same kernels as the one-shot scans, so the tracked maximum is
+// bit-identical to a from-scratch computation.
 //
 // The scan itself — patching, extrema, per-row collection — lives on the
 // ZetaScanState / VarphiScanState replicas (shardscan.go), so a sharding
@@ -145,9 +153,10 @@ func (t *ZetaTracker) Floor() float64 { return t.floor }
 
 // PatchAndDrop applies the mutation prefix of a repair without scanning:
 // the replica's log matrix and extrema are patched against the mutated
-// Matrix and the candidate set drops its dirty-incident members. An
-// external (sharded) repair then collects the dirty-incident triplets
-// above Floor with ZetaScanState.RepairRange and hands them to
+// Matrix and the candidate set drops the members whose value may have
+// changed (under rowsOnly, those whose row X or Z is dirty). An external
+// (sharded) repair then collects the same triplet set above Floor with
+// ZetaScanState.RepairRange, given the same rowsOnly, and hands it to
 // AbsorbRepair. The returned dirty-node mask (nil when nothing to do) is
 // the one the collection scans consume.
 func (t *ZetaTracker) PatchAndDrop(dirty []int, rowsOnly bool) []bool {
@@ -156,7 +165,7 @@ func (t *ZetaTracker) PatchAndDrop(dirty []int, rowsOnly bool) []bool {
 	}
 	t.st.PatchRows(dirty, rowsOnly)
 	mask := dirtyNodeMask(t.st.n, dirty)
-	t.set = dropDirtyBand(t.set, mask)
+	t.set = dropDirtyBand(t.set, mask, rowsOnly, false) // ζ reads rows X and Z
 	return mask
 }
 
@@ -198,9 +207,12 @@ func (t *ZetaTracker) Reseed(zmax float64, band []BandTriplet) {
 // on the rows and columns of the given nodes, and returns the new value.
 // rowsOnly declares that only the dirty *rows* changed (SetRows / SetDecay
 // mutations; node moves also rewrite columns): the clean rows' log
-// entries, extrema and sort order are then provably unchanged and skipped.
-// Only triplets incident to a dirty node are re-scanned; a drained
-// candidate set triggers the full rescan fallback.
+// entries and extrema are then provably unchanged and skipped, and since
+// a ζ triplet (x, y, z) reads rows x and z only, a clean row x rescans
+// just its dirty-z pairs and keeps the candidates whose X and Z are clean
+// — their stored values are exact. Without rowsOnly every triplet incident
+// to a dirty node is re-scanned. A drained candidate set triggers the full
+// rescan fallback.
 func (t *ZetaTracker) Repair(dirty []int, rowsOnly bool) float64 {
 	if t.st.n < 3 || len(dirty) == 0 {
 		return t.zeta
@@ -217,7 +229,7 @@ func (t *ZetaTracker) Repair(dirty []int, rowsOnly bool) float64 {
 		var local []BandTriplet
 		zList := make([]int32, 0, n)
 		for x := lo; x < hi; x++ {
-			local, zList = t.st.repairRow(local, x, dirty, mask, invT, amgm, zList)
+			local, zList = t.st.repairRow(local, x, dirty, mask, rowsOnly, invT, amgm, zList)
 		}
 		if len(local) > 0 {
 			mu.Lock()
@@ -402,14 +414,15 @@ func (t *VarphiTracker) Varphi() float64 { return t.varphi }
 func (t *VarphiTracker) Floor() float64 { return t.floor }
 
 // PatchAndDrop applies the mutation prefix of a repair without scanning
-// (see ZetaTracker.PatchAndDrop).
+// (see ZetaTracker.PatchAndDrop); under rowsOnly it drops the candidates
+// whose row X or Y is dirty.
 func (t *VarphiTracker) PatchAndDrop(dirty []int, rowsOnly bool) []bool {
 	if t.st.n < 3 || len(dirty) == 0 {
 		return nil
 	}
 	t.st.PatchRows(dirty, rowsOnly)
 	mask := dirtyNodeMask(t.st.n, dirty)
-	t.set = dropDirtyBand(t.set, mask)
+	t.set = dropDirtyBand(t.set, mask, rowsOnly, true) // ϕ reads rows X and Y
 	return mask
 }
 
@@ -435,7 +448,10 @@ func (t *VarphiTracker) Reseed(vmax float64, band []BandTriplet) {
 // Repair re-establishes the tracked ϕ after the matrix mutated on the rows
 // and columns of the given nodes, and returns the new value. rowsOnly
 // declares a row-only mutation (see ZetaTracker.Repair): clean rows'
-// extrema are then provably unchanged and skipped.
+// extrema are then provably unchanged and skipped, and since a ϕ triplet
+// (x, y, z) reads rows x and y only, a clean row x rescans just its
+// dirty-y pairs and skips the strided dirty-z column walk, keeping the
+// candidates whose X and Y are clean.
 func (t *VarphiTracker) Repair(dirty []int, rowsOnly bool) float64 {
 	if t.st.n < 3 || len(dirty) == 0 {
 		return t.varphi
@@ -447,7 +463,7 @@ func (t *VarphiTracker) Repair(dirty []int, rowsOnly bool) float64 {
 	par.ForChunked(n, func(lo, hi int) {
 		var local []BandTriplet
 		for x := lo; x < hi; x++ {
-			local = t.st.repairRow(local, x, dirty, mask, tau)
+			local = t.st.repairRow(local, x, dirty, mask, rowsOnly, tau)
 		}
 		if len(local) > 0 {
 			mu.Lock()

@@ -9,7 +9,7 @@ import (
 )
 
 // randomMatrix builds an n-node random decay matrix (asymmetric).
-func randomMatrix(t *testing.T, n int, seed uint64) *Matrix {
+func randomMatrix(t testing.TB, n int, seed uint64) *Matrix {
 	t.Helper()
 	src := rng.New(seed)
 	m, err := FromFunc(n, func(i, j int) float64 { return src.Range(0.5, 50) })
@@ -21,7 +21,7 @@ func randomMatrix(t *testing.T, n int, seed uint64) *Matrix {
 
 // mutateRows overwrites k random rows with fresh random decays and returns
 // the dirty node list.
-func mutateRows(t *testing.T, m *Matrix, k int, src *rng.Source) []int {
+func mutateRows(t testing.TB, m *Matrix, k int, src *rng.Source) []int {
 	t.Helper()
 	n := m.N()
 	dirty := make([]int, 0, k)
@@ -46,6 +46,24 @@ func mutateRows(t *testing.T, m *Matrix, k int, src *rng.Source) []int {
 	return dirty
 }
 
+// mutateRowsCols rewrites both the row and the column of k random nodes —
+// the shape of a node move — and returns the dirty node list. The column
+// entries are drawn from a ten times wider range than the rest, so the new
+// maxima tend to lie in the slices only a column repair rescans: ζ's
+// (x, y ∈ M, z ∉ M) and ϕ's (x, y ∉ M, z ∈ M) for clean x.
+func mutateRowsCols(t *testing.T, m *Matrix, k int, src *rng.Source) []int {
+	t.Helper()
+	dirty := mutateRows(t, m, k, src)
+	for _, r := range dirty {
+		for i := 0; i < m.N(); i++ {
+			if err := m.Set(i, r, src.Range(0.5, 500)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return dirty
+}
+
 func TestZetaTrackerMatchesFullScan(t *testing.T) {
 	for _, n := range []int{3, 8, 24, 64} {
 		m := randomMatrix(t, n, uint64(n)*13+1)
@@ -58,16 +76,24 @@ func TestZetaTrackerMatchesFullScan(t *testing.T) {
 			t.Errorf("n=%d: tracker build zeta %v, full scan %v", n, got, want)
 		}
 		src := rng.New(uint64(n) * 7)
-		for step := 0; step < 4; step++ {
+		// Steps 0–3 rewrite rows only; steps 4–7 rewrite rows and columns,
+		// which keeps the slices a row-only repair skips.
+		for step := 0; step < 8; step++ {
 			k := 1 + step%3
 			if k >= n {
 				k = 1
 			}
-			dirty := mutateRows(t, m, k, src)
-			got := zt.Repair(dirty, true)
+			rowsOnly := step < 4
+			var dirty []int
+			if rowsOnly {
+				dirty = mutateRows(t, m, k, src)
+			} else {
+				dirty = mutateRowsCols(t, m, k, src)
+			}
+			got := zt.Repair(dirty, rowsOnly)
 			want := ZetaTol(m, 1e-12)
 			if got != want {
-				t.Fatalf("n=%d step=%d: repaired zeta %v, full scan %v", n, step, got, want)
+				t.Fatalf("n=%d step=%d rowsOnly=%v: repaired zeta %v, full scan %v", n, step, rowsOnly, got, want)
 			}
 		}
 	}
@@ -84,16 +110,22 @@ func TestVarphiTrackerMatchesFullScan(t *testing.T) {
 			t.Errorf("n=%d: tracker build varphi %v, full scan %v", n, got, want)
 		}
 		src := rng.New(uint64(n) * 3)
-		for step := 0; step < 4; step++ {
+		for step := 0; step < 8; step++ {
 			k := 1 + step%3
 			if k >= n {
 				k = 1
 			}
-			dirty := mutateRows(t, m, k, src)
-			got := vt.Repair(dirty, true)
+			rowsOnly := step < 4
+			var dirty []int
+			if rowsOnly {
+				dirty = mutateRows(t, m, k, src)
+			} else {
+				dirty = mutateRowsCols(t, m, k, src)
+			}
+			got := vt.Repair(dirty, rowsOnly)
 			want := Varphi(m)
 			if got != want {
-				t.Fatalf("n=%d step=%d: repaired varphi %v, full scan %v", n, step, got, want)
+				t.Fatalf("n=%d step=%d rowsOnly=%v: repaired varphi %v, full scan %v", n, step, rowsOnly, got, want)
 			}
 		}
 	}
@@ -137,6 +169,42 @@ func TestTrackerHandlesDecrease(t *testing.T) {
 	}
 	if v := vt.Varphi(); v != 0.5 {
 		t.Errorf("uniform space varphi %v, want 0.5", v)
+	}
+}
+
+// BenchmarkTrackerRepairRowsOnly times the tracker-repair layer alone: a
+// row-only repair of 4 freshly rewritten rows at n=768 (the rewrite itself
+// is untimed). The trackers are built once, outside the timed runs.
+func BenchmarkTrackerRepairRowsOnly(b *testing.B) {
+	const n, k = 768, 4
+	ctx := context.Background()
+	mz, mv := randomMatrix(b, n, 1), randomMatrix(b, n, 2)
+	zt, err := NewZetaTracker(ctx, mz, 1e-12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vt, err := NewVarphiTracker(ctx, mv)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		m      *Matrix
+		repair func(dirty []int)
+	}{
+		{"zeta", mz, func(dirty []int) { zt.Repair(dirty, true) }},
+		{"phi", mv, func(dirty []int) { vt.Repair(dirty, true) }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			src := rng.New(3)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dirty := mutateRows(b, c.m, k, src)
+				b.StartTimer()
+				c.repair(dirty)
+			}
+		})
 	}
 }
 

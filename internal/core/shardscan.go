@@ -41,11 +41,25 @@ func maxBand(set []BandTriplet, floor float64) float64 {
 	return v
 }
 
-// dropDirtyBand removes candidates incident to a dirty node, in place.
-func dropDirtyBand(set []BandTriplet, mask []bool) []BandTriplet {
+// dropDirtyBand removes, in place, the candidates whose value a mutation
+// of the dirty nodes may have changed. A triplet's value reads two rows of
+// the decay matrix: rows X and Z for ζ, rows X and Y for ϕ (readsY). After
+// a mutation that also rewrote columns, every candidate incident to a
+// dirty node goes. After a rowsOnly mutation only the candidates with a
+// dirty read row go: a kept candidate reads untouched entries only, so its
+// stored value has the bits a rescan would give.
+func dropDirtyBand(set []BandTriplet, mask []bool, rowsOnly, readsY bool) []BandTriplet {
 	out := set[:0]
 	for _, c := range set {
-		if !mask[c.X] && !mask[c.Y] && !mask[c.Z] {
+		second := c.Z
+		if readsY {
+			second = c.Y
+		}
+		changed := mask[c.X] || mask[second]
+		if !rowsOnly {
+			changed = changed || mask[c.Y] || mask[c.Z]
+		}
+		if !changed {
 			out = append(out, c)
 		}
 	}
@@ -243,10 +257,15 @@ func (s *ZetaScanState) CollectRange(ctx context.Context, xlo, xhi int, floor fl
 	return out, nil
 }
 
-// RepairRange re-scans the dirty-incident triplets with first index in
-// [xlo, xhi) after PatchRows, returning those above floor — the shard-sized
-// repair phase. mask must be the dirty-node membership mask (len n).
-func (s *ZetaScanState) RepairRange(ctx context.Context, xlo, xhi int, dirty []int, mask []bool, floor float64) ([]BandTriplet, error) {
+// RepairRange re-scans the triplets with first index in [xlo, xhi) whose
+// value the mutation may have changed, after PatchRows, returning those
+// above floor — the shard-sized repair phase. mask must be the dirty-node
+// membership mask (len n). A ζ triplet (x, y, z) reads rows x and z only,
+// so when rowsOnly declares that only the dirty rows changed, a clean row
+// x rescans just its dirty-z pairs and skips the (x, y ∈ M, z ∉ M) slice,
+// whose values are unchanged; otherwise every dirty-incident triplet is
+// rescanned. Dirty rows always rescan in full.
+func (s *ZetaScanState) RepairRange(ctx context.Context, xlo, xhi int, dirty []int, mask []bool, rowsOnly bool, floor float64) ([]BandTriplet, error) {
 	var out []BandTriplet
 	if s.n < 3 {
 		return out, ctx.Err()
@@ -258,16 +277,16 @@ func (s *ZetaScanState) RepairRange(ctx context.Context, xlo, xhi int, dirty []i
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out, zList = s.repairRow(out, x, dirty, mask, invT, amgm, zList)
+		out, zList = s.repairRow(out, x, dirty, mask, rowsOnly, invT, amgm, zList)
 	}
 	return out, nil
 }
 
-// repairRow collects row x's dirty-incident triplets above the floor —
-// the shared inner body of RepairRange and the pool-parallel
-// ZetaTracker.Repair. zList is scratch for the shortlist of viable z,
-// returned for reuse.
-func (s *ZetaScanState) repairRow(local []BandTriplet, x int, dirty []int, mask []bool, invT, amgm float64, zList []int32) ([]BandTriplet, []int32) {
+// repairRow collects row x's possibly changed triplets above the floor
+// (see RepairRange) — the shared inner body of RepairRange and the
+// pool-parallel ZetaTracker.Repair. zList is scratch for the shortlist of
+// viable z, returned for reuse.
+func (s *ZetaScanState) repairRow(local []BandTriplet, x int, dirty []int, mask []bool, rowsOnly bool, invT, amgm float64, zList []int32) ([]BandTriplet, []int32) {
 	n := s.n
 	rowX := s.logs[x*n : (x+1)*n]
 	if mask[x] {
@@ -283,6 +302,9 @@ func (s *ZetaScanState) repairRow(local []BandTriplet, x int, dirty []int, mask 
 		if z != x {
 			local = s.collectPair(local, rowX, x, z, invT, amgm)
 		}
+	}
+	if rowsOnly {
+		return local, zList // rows x and z ∉ M are untouched
 	}
 	// The (x, y ∈ M, z ∉ M) slice. The AM-GM necessary condition
 	// b + c + amgm < 2a with c ≥ colMin[y] bounds b from above, so one
@@ -522,9 +544,12 @@ func (s *VarphiScanState) CollectRange(ctx context.Context, xlo, xhi int, floor 
 	return out, nil
 }
 
-// RepairRange re-scans the dirty-incident ϕ triplets with first index in
-// [xlo, xhi), returning those above floor (see ZetaScanState.RepairRange).
-func (s *VarphiScanState) RepairRange(ctx context.Context, xlo, xhi int, dirty []int, mask []bool, floor float64) ([]BandTriplet, error) {
+// RepairRange re-scans the ϕ triplets with first index in [xlo, xhi)
+// whose value the mutation may have changed, returning those above floor
+// (see ZetaScanState.RepairRange). A ϕ triplet (x, y, z) reads rows x and
+// y only, so under rowsOnly a clean row x rescans just its dirty-y pairs
+// and skips the strided (x, y ∉ M, z ∈ M) slice.
+func (s *VarphiScanState) RepairRange(ctx context.Context, xlo, xhi int, dirty []int, mask []bool, rowsOnly bool, floor float64) ([]BandTriplet, error) {
 	var out []BandTriplet
 	if s.n < 3 {
 		return out, ctx.Err()
@@ -533,14 +558,15 @@ func (s *VarphiScanState) RepairRange(ctx context.Context, xlo, xhi int, dirty [
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out = s.repairRow(out, x, dirty, mask, floor)
+		out = s.repairRow(out, x, dirty, mask, rowsOnly, floor)
 	}
 	return out, nil
 }
 
-// repairRow collects row x's dirty-incident ϕ triplets above the floor —
-// the shared inner body of RepairRange and VarphiTracker.Repair.
-func (s *VarphiScanState) repairRow(local []BandTriplet, x int, dirty []int, mask []bool, tau float64) []BandTriplet {
+// repairRow collects row x's possibly changed ϕ triplets above the floor
+// (see RepairRange) — the shared inner body of RepairRange and
+// VarphiTracker.Repair.
+func (s *VarphiScanState) repairRow(local []BandTriplet, x int, dirty []int, mask []bool, rowsOnly bool, tau float64) []BandTriplet {
 	n := s.n
 	rowX := s.m.row(x)
 	if mask[x] {
@@ -555,6 +581,9 @@ func (s *VarphiScanState) repairRow(local []BandTriplet, x int, dirty []int, mas
 		if y != x {
 			local = s.collectPair(local, rowX, x, y, tau)
 		}
+	}
+	if rowsOnly {
+		return local // rows x and y ∉ M are untouched
 	}
 	for _, z := range dirty {
 		if z == x {

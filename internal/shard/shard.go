@@ -90,9 +90,12 @@ type BandJob struct {
 	Floor float64 `json:"floor"`
 }
 
-// RepairJob asks a worker to re-scan the dirty-incident triplets of its
-// row range after a mutation, collecting those above Floor. RowsOnly
-// mirrors the tracker contract (only dirty rows changed, not columns).
+// RepairJob asks a worker to re-scan the triplets of its row range whose
+// values a mutation may have changed, collecting those above Floor.
+// RowsOnly mirrors the tracker contract: only the dirty rows changed, not
+// their columns. The scan then skips the slices that read clean rows only
+// (ζ's (x, y ∈ M, z ∉ M) and ϕ's (x, y ∉ M, z ∈ M) for clean x), exactly
+// as the coordinator's band drop keeps their candidates.
 type RepairJob struct {
 	Rows     Range   `json:"rows"`
 	Dirty    []int   `json:"dirty"`
@@ -312,7 +315,7 @@ func (w *localWorker) ZetaRepair(ctx context.Context, job RepairJob) (BandResult
 		return BandResult{}, ErrStreamed
 	}
 	mask := dirtyMask(w.rep.m.N(), job.Dirty)
-	band, err := w.rep.ZetaState().RepairRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Dirty, mask, job.Floor)
+	band, err := w.rep.ZetaState().RepairRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Dirty, mask, job.RowsOnly, job.Floor)
 	return BandResult{Band: band}, err
 }
 
@@ -338,7 +341,7 @@ func (w *localWorker) VarphiRepair(ctx context.Context, job RepairJob) (BandResu
 		return BandResult{}, ErrStreamed
 	}
 	mask := dirtyMask(w.rep.m.N(), job.Dirty)
-	band, err := w.rep.VarphiState().RepairRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Dirty, mask, job.Floor)
+	band, err := w.rep.VarphiState().RepairRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Dirty, mask, job.RowsOnly, job.Floor)
 	return BandResult{Band: band}, err
 }
 

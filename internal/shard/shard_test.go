@@ -126,7 +126,9 @@ func TestShardedTrackerMatchesPool(t *testing.T) {
 			zs.Zeta(), zp.Zeta(), vs.Varphi(), vp.Varphi())
 	}
 	src := rng.New(99)
-	for step := 0; step < 6; step++ {
+	// Steps 0–5 rewrite one row; steps 6–9 rewrite a row and its column
+	// (a node move), which keeps the slices a row-only repair skips.
+	for step := 0; step < 10; step++ {
 		r := int(src.Uint64() % uint64(n))
 		row := make([]float64, n)
 		for j := range row {
@@ -140,19 +142,31 @@ func TestShardedTrackerMatchesPool(t *testing.T) {
 		if err := mPool.SetRow(r, row); err != nil {
 			t.Fatal(err)
 		}
+		rowsOnly := step < 6
+		if !rowsOnly {
+			for i := 0; i < n; i++ {
+				v := src.Range(0.5, 500) // wide: the new maxima read the column
+				if err := mShard.Set(i, r, v); err != nil {
+					t.Fatal(err)
+				}
+				if err := mPool.Set(i, r, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		dirty := []int{r}
-		zS, err := c.RepairZeta(ctx, zs, dirty, true)
+		zS, err := c.RepairZeta(ctx, zs, dirty, rowsOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vS, err := c.RepairVarphi(ctx, vs, dirty, true)
+		vS, err := c.RepairVarphi(ctx, vs, dirty, rowsOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if zP := zp.Repair(dirty, true); zS != zP {
+		if zP := zp.Repair(dirty, rowsOnly); zS != zP {
 			t.Fatalf("step %d: sharded zeta repair %v, pool %v", step, zS, zP)
 		}
-		if vP := vp.Repair(dirty, true); vS != vP {
+		if vP := vp.Repair(dirty, rowsOnly); vS != vP {
 			t.Fatalf("step %d: sharded varphi repair %v, pool %v", step, vS, vP)
 		}
 		if want := core.ZetaTol(mShard, 1e-12); zS != want {
