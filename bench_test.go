@@ -1,7 +1,8 @@
 package decaynet
 
-// One benchmark per reproduction experiment (E1–E14, see DESIGN.md §5) and
-// per ablation (A1–A4, §6). Each bench runs the corresponding experiment
+// One benchmark per reproduction experiment (E1–E14, one per theorem or
+// claim of the paper, arXiv 1402.5003; see internal/experiments) and per
+// ablation (A1–A4). Each bench runs the corresponding experiment
 // end to end, so `go test -bench=.` regenerates every series the paper's
 // claims predict; `go run ./cmd/decaybench` prints the same rows.
 

@@ -472,7 +472,7 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 		if e.tiered != nil {
 			// Tiered + sharded: workers run the out-of-core streamed scans,
 			// paging row tiles through a bounded cache (core.StreamScan)
-			// instead of materializing a dense log matrix per replica.
+			// instead of holding an n×n screen matrix per replica.
 			coord, err = shard.NewStreamed(context.Background(), e.tiered, 1e-12, ec.shards, 0, 0)
 		} else {
 			coord, err = shard.New(e.matrix, 1e-12, ec.shards)

@@ -165,7 +165,11 @@ func TestTrackerBandComplete(t *testing.T) {
 				}
 				repair(dirty, rowsOnly)
 				ctx := context.Background()
-				wantZ, err := core.NewZetaScanState(m, bandTol).CollectRange(ctx, 0, n, zt.Floor())
+				zs, err := core.NewZetaScanState(ctx, m, bandTol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantZ, err := zs.CollectRange(ctx, 0, n, zt.Floor())
 				if err != nil {
 					t.Fatal(err)
 				}

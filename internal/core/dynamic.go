@@ -2,12 +2,7 @@ package core
 
 import (
 	"context"
-	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
-
-	"decaynet/internal/par"
 )
 
 // Incremental maintenance of the triplet-scan parameters for mutable
@@ -35,18 +30,19 @@ import (
 // O(|M|·n) pair probes plus a handful of survivors, against the O(n³)
 // full scan. A mutation that lowers the maximum simply pops to the next
 // candidate; only when the set drains completely (the maximum fell below
-// τ) does a full rescan run and reset the floor. Values are computed by
-// the same kernels as the one-shot scans, so the tracked maximum is
-// bit-identical to a from-scratch computation.
+// τ) does a full rescan run and reset the floor. The full scan, the
+// collection and the repair run the same ζ and ϕ pair kernels as the
+// one-shot scans (shardscan.go), each of which keeps exactly the triplets
+// above its bound, so the tracked maximum and the band are bit-identical
+// to a from-scratch computation and to the per-pair oracles.
 //
 // The scan itself — patching, extrema, per-row collection — lives on the
-// ZetaScanState / VarphiScanState replicas (shardscan.go), so a sharding
-// coordinator can run the same phases across row-range workers: build a
-// tracker from per-shard maxima and band collections (NewZetaTrackerFrom),
-// and repair it from per-shard dirty-incident collections (PatchAndDrop +
-// AbsorbRepair + Reseed). The pool-parallel Repair / rescan below and the
-// sharded phases execute identical per-triplet expressions over identical
-// replicas, so both routes track bit-identical values.
+// ZetaScanState / VarphiScanState replicas, so a sharding coordinator can
+// run the same phases across row-range workers: build a tracker from
+// per-shard maxima and band collections (NewZetaTrackerFrom), and repair
+// it from per-shard dirty-incident collections (PatchAndDrop +
+// AbsorbRepair + Reseed). ZetaTracker and VarphiTracker share that
+// machinery (tracker) and differ only in their state and floor.
 
 // candMargin is the relative width of the candidate band: the floor is
 // (1 − candMargin) · max. Wider bands survive deeper decreases before a
@@ -99,33 +95,140 @@ func bandFloor(max, universal float64) float64 {
 func ZetaBandFloor(zmax float64) float64 { return bandFloor(zmax, DefaultZetaFloor) }
 
 // VarphiBandFloor is ZetaBandFloor's ϕ analogue.
-func VarphiBandFloor(vmax float64) float64 { return bandFloor(vmax, varphiFloorValue) }
+func VarphiBandFloor(vmax float64) float64 { return bandFloor(vmax, VarphiFloor) }
 
-// ZetaTracker maintains the metricity ζ of a dense decay space under row /
-// column mutations. It scans through a ZetaScanState replica (its own
-// log-decay matrix plus pruning extrema, patched on repair); the
-// underlying Matrix is read on construction and on each Repair and must
-// reflect the mutation before Repair is called.
-type ZetaTracker struct {
-	st *ZetaScanState
+// bandState is a scan state as a tracker drives it: ZetaScanState or
+// VarphiScanState.
+type bandState interface {
+	N() int
+	PatchRows(dirty []int, rowsOnly bool)
+	fullMax(ctx context.Context) (float64, error)
+	poolBand(ctx context.Context, floor float64, row func(scanRun, int)) ([]BandTriplet, error)
+}
 
-	zeta  float64
-	floor float64 // τ: the set holds every triplet with ζ > τ
+// tracker is the candidate-band machinery ZetaTracker and VarphiTracker
+// share: the tracked maximum, the floor τ and every triplet above it.
+type tracker struct {
+	st        bandState
+	universal float64 // the parameter's floor: DefaultZetaFloor or VarphiFloor
+	readsY    bool    // ϕ: a triplet reads rows X and Y (ζ: X and Z)
+
+	max   float64
+	floor float64 // τ: the set holds every triplet with a value > τ
 	set   []BandTriplet
 }
+
+// Floor returns the candidate-band floor τ — the threshold an external
+// repair phase must collect above.
+func (t *tracker) Floor() float64 { return t.floor }
+
+// PatchAndDrop applies the mutation prefix of a repair without scanning:
+// the scan state is patched against the mutated Matrix and the candidate
+// set drops the members whose value may have changed (under rowsOnly,
+// those whose second read row — Z for ζ, Y for ϕ — or row X is dirty). An
+// external (sharded) repair then collects the same triplet set above Floor
+// with the state's RepairRange, given the same rowsOnly, and hands it to
+// AbsorbRepair. The returned dirty-node mask (nil when nothing to do) is
+// the one the collection scans consume.
+func (t *tracker) PatchAndDrop(dirty []int, rowsOnly bool) []bool {
+	if t.st.N() < 3 || len(dirty) == 0 {
+		return nil
+	}
+	t.st.PatchRows(dirty, rowsOnly)
+	mask := dirtyNodeMask(t.st.N(), dirty)
+	t.set = dropDirtyBand(t.set, mask, rowsOnly, t.readsY)
+	return mask
+}
+
+// AbsorbRepair merges an externally collected dirty-incident band into the
+// candidate set and re-derives the tracked value. needRescan reports the
+// drained-band case — the maximum fell below the floor — in which the
+// caller must run a full two-phase scan (max + band) and Reseed; the
+// tracked value is not valid until then.
+func (t *tracker) AbsorbRepair(band []BandTriplet) (value float64, needRescan bool) {
+	t.set = append(t.set, band...)
+	if len(t.set) == 0 && t.floor > t.universal {
+		return t.max, true
+	}
+	t.set, t.floor = trim(t.set, t.floor)
+	t.max = maxBand(t.set, t.universal)
+	return t.max, false
+}
+
+// Reseed installs the results of a full rescan: the exact maximum and the
+// band above its band floor (ZetaBandFloor / VarphiBandFloor).
+func (t *tracker) Reseed(max float64, band []BandTriplet) {
+	t.max = max
+	t.set, t.floor = trim(band, bandFloor(max, t.universal))
+}
+
+// Repair re-establishes the tracked value after the underlying matrix
+// mutated on the rows and columns of the given nodes, and returns it.
+// rowsOnly declares that only the dirty *rows* changed (SetRows / SetDecay
+// mutations; node moves also rewrite columns): the clean rows' derived
+// data are then provably unchanged and skipped, a clean row x rescans
+// just the pairs whose second read row is dirty, and the candidates whose
+// read rows are clean keep their exact stored values. Without rowsOnly
+// every triplet incident to a dirty node is re-scanned. A drained
+// candidate set triggers the full rescan fallback.
+func (t *tracker) Repair(dirty []int, rowsOnly bool) float64 {
+	mask := t.PatchAndDrop(dirty, rowsOnly)
+	if mask == nil {
+		return t.max
+	}
+	band, _ := t.st.poolBand(context.Background(), t.floor, repairRow(dirty, mask, rowsOnly))
+	if _, drained := t.AbsorbRepair(band); drained {
+		t.rescan(context.Background())
+	}
+	return t.max
+}
+
+// rescan runs the full pass: the exact maximum, then the collection of
+// every triplet above the band floor a margin below it.
+func (t *tracker) rescan(ctx context.Context) error {
+	max, err := t.st.fullMax(ctx)
+	if err != nil {
+		return err
+	}
+	var band []BandTriplet
+	if floor := bandFloor(max, t.universal); max > t.universal {
+		if band, err = t.st.poolBand(ctx, floor, collectRow); err != nil {
+			return err
+		}
+	}
+	t.Reseed(max, band)
+	return nil
+}
+
+// newTracker runs the full scan over st unless it has fewer than three
+// nodes. ctx is polled between rows; a cancelled build returns ctx.Err().
+func newTracker(ctx context.Context, st bandState, universal float64, readsY bool) (tracker, error) {
+	t := tracker{st: st, universal: universal, readsY: readsY, max: universal, floor: universal}
+	if st.N() < 3 {
+		return t, ctx.Err()
+	}
+	return t, t.rescan(ctx)
+}
+
+// ZetaTracker maintains the metricity ζ of a dense decay space under row /
+// column mutations. It scans through a ZetaScanState replica (G and row
+// extrema, patched on repair); the underlying Matrix is read in place and
+// must reflect the mutation before Repair is called.
+type ZetaTracker struct{ tracker }
 
 // NewZetaTracker runs the full scan, fixes the candidate floor a margin
 // below the maximum, and collects the candidate band. ctx is polled
 // between rows; a cancelled build returns ctx.Err().
 func NewZetaTracker(ctx context.Context, m *Matrix, tol float64) (*ZetaTracker, error) {
-	t := &ZetaTracker{st: NewZetaScanState(m, tol), zeta: DefaultZetaFloor, floor: DefaultZetaFloor}
-	if t.st.n < 3 {
-		return t, ctx.Err()
-	}
-	if err := t.rescan(ctx); err != nil {
+	st, err := NewZetaScanState(ctx, m, tol)
+	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	t, err := newTracker(ctx, st, DefaultZetaFloor, false)
+	if err != nil {
+		return nil, err
+	}
+	return &ZetaTracker{t}, nil
 }
 
 // NewZetaTrackerFrom seeds a tracker from the results of an externally
@@ -135,496 +238,44 @@ func NewZetaTracker(ctx context.Context, m *Matrix, tol float64) (*ZetaTracker, 
 // (sharing it with the scanning workers is fine — repairs patch it under
 // the session lock).
 func NewZetaTrackerFrom(st *ZetaScanState, zmax float64, band []BandTriplet) *ZetaTracker {
-	t := &ZetaTracker{st: st, zeta: zmax, floor: ZetaBandFloor(zmax), set: band}
-	t.set, t.floor = trim(t.set, t.floor)
+	t := &ZetaTracker{tracker{st: st, universal: DefaultZetaFloor}}
+	t.Reseed(zmax, band)
 	return t
 }
 
-// State returns the tracker's scan replica (shared with shard workers on
-// sharded sessions).
-func (t *ZetaTracker) State() *ZetaScanState { return t.st }
-
 // Zeta returns the tracked metricity.
-func (t *ZetaTracker) Zeta() float64 { return t.zeta }
-
-// Floor returns the candidate-band floor τ — the threshold an external
-// repair phase must collect above.
-func (t *ZetaTracker) Floor() float64 { return t.floor }
-
-// PatchAndDrop applies the mutation prefix of a repair without scanning:
-// the replica's log matrix and extrema are patched against the mutated
-// Matrix and the candidate set drops the members whose value may have
-// changed (under rowsOnly, those whose row X or Z is dirty). An external
-// (sharded) repair then collects the same triplet set above Floor with
-// ZetaScanState.RepairRange, given the same rowsOnly, and hands it to
-// AbsorbRepair. The returned dirty-node mask (nil when nothing to do) is
-// the one the collection scans consume.
-func (t *ZetaTracker) PatchAndDrop(dirty []int, rowsOnly bool) []bool {
-	if t.st.n < 3 || len(dirty) == 0 {
-		return nil
-	}
-	t.st.PatchRows(dirty, rowsOnly)
-	mask := dirtyNodeMask(t.st.n, dirty)
-	t.set = dropDirtyBand(t.set, mask, rowsOnly, false) // ζ reads rows X and Z
-	return mask
-}
-
-// dirtyNodeMask builds the dirty-node membership mask the repair scans
-// consume.
-func dirtyNodeMask(n int, dirty []int) []bool {
-	mask := make([]bool, n)
-	for _, r := range dirty {
-		mask[r] = true
-	}
-	return mask
-}
-
-// AbsorbRepair merges an externally collected dirty-incident band into the
-// candidate set and re-derives the tracked ζ. needRescan reports the
-// drained-band case — the maximum fell below the floor — in which the
-// caller must run a full two-phase scan (max + band) and Reseed; the
-// tracked value is not valid until then.
-func (t *ZetaTracker) AbsorbRepair(band []BandTriplet) (zeta float64, needRescan bool) {
-	t.set = append(t.set, band...)
-	if len(t.set) == 0 && t.floor > DefaultZetaFloor {
-		return t.zeta, true
-	}
-	t.set, t.floor = trim(t.set, t.floor)
-	t.zeta = maxBand(t.set, DefaultZetaFloor)
-	return t.zeta, false
-}
-
-// Reseed installs the results of a full external rescan (see
-// NewZetaTrackerFrom): the exact maximum and the band above
-// ZetaBandFloor(zmax).
-func (t *ZetaTracker) Reseed(zmax float64, band []BandTriplet) {
-	t.zeta = zmax
-	t.floor = ZetaBandFloor(zmax)
-	t.set, t.floor = trim(band, t.floor)
-}
-
-// Repair re-establishes the tracked ζ after the underlying matrix mutated
-// on the rows and columns of the given nodes, and returns the new value.
-// rowsOnly declares that only the dirty *rows* changed (SetRows / SetDecay
-// mutations; node moves also rewrite columns): the clean rows' log
-// entries and extrema are then provably unchanged and skipped, and since
-// a ζ triplet (x, y, z) reads rows x and z only, a clean row x rescans
-// just its dirty-z pairs and keeps the candidates whose X and Z are clean
-// — their stored values are exact. Without rowsOnly every triplet incident
-// to a dirty node is re-scanned. A drained candidate set triggers the full
-// rescan fallback.
-func (t *ZetaTracker) Repair(dirty []int, rowsOnly bool) float64 {
-	if t.st.n < 3 || len(dirty) == 0 {
-		return t.zeta
-	}
-	n := t.st.n
-	mask := t.PatchAndDrop(dirty, rowsOnly)
-
-	// Collect the dirty-incident triplets that reach the candidate band.
-	var mu sync.Mutex
-	tau := t.floor
-	invT := 1 / tau
-	amgm := 2 * math.Ln2 * tau
-	par.ForChunked(n, func(lo, hi int) {
-		var local []BandTriplet
-		zList := make([]int32, 0, n)
-		for x := lo; x < hi; x++ {
-			local, zList = t.st.repairRow(local, x, dirty, mask, rowsOnly, invT, amgm, zList)
-		}
-		if len(local) > 0 {
-			mu.Lock()
-			t.set = append(t.set, local...)
-			mu.Unlock()
-		}
-	})
-
-	if len(t.set) == 0 && t.floor > DefaultZetaFloor {
-		// The maximum fell through the candidate band: full rescan.
-		t.rescan(context.Background())
-		return t.zeta
-	}
-	t.set, t.floor = trim(t.set, t.floor)
-	t.zeta = maxBand(t.set, DefaultZetaFloor)
-	return t.zeta
-}
-
-// rescan runs the full-matrix pass: an exact maximum scan over the cached
-// log matrix followed by a collection pass a margin below it.
-func (t *ZetaTracker) rescan(ctx context.Context) error {
-	zmax, err := t.fullMax(ctx)
-	if err != nil {
-		return err
-	}
-	t.zeta = zmax
-	t.floor = ZetaBandFloor(zmax)
-	t.set = t.set[:0]
-	if zmax <= DefaultZetaFloor {
-		return ctx.Err() // nothing above the floor to collect
-	}
-	var mu sync.Mutex
-	invT := 1 / t.floor
-	amgm := 2 * math.Ln2 * t.floor
-	n := t.st.n
-	err = par.ForChunkedCtx(ctx, n, func(lo, hi int) {
-		var local []BandTriplet
-		for x := lo; x < hi; x++ {
-			if ctx.Err() != nil {
-				return
-			}
-			rowX := t.st.logs[x*n : (x+1)*n]
-			for z := 0; z < n; z++ {
-				if z != x {
-					local = t.st.collectPair(local, rowX, x, z, invT, amgm)
-				}
-			}
-		}
-		if len(local) > 0 {
-			mu.Lock()
-			t.set = append(t.set, local...)
-			mu.Unlock()
-		}
-	})
-	if err != nil {
-		return err
-	}
-	t.set, t.floor = trim(t.set, t.floor)
-	return nil
-}
-
-// fullMax is the exact tiled maximum scan over the tracker's cached log
-// matrix — ZetaTol's kernel minus the symmetric halving (the tracker
-// serves mutated, generally asymmetric sessions).
-func (t *ZetaTracker) fullMax(ctx context.Context) (float64, error) {
-	st := t.st
-	n := st.n
-	var bestBits uint64Max
-	bestBits.store(DefaultZetaFloor)
-	err := par.ForTilesCtx(ctx, n, tripletTile(n), func(xlo, xhi, zlo, zhi int) {
-		local := bestBits.load()
-		invT := 1 / local
-		amgm := 2 * math.Ln2 * local
-		for x := xlo; x < xhi; x++ {
-			if ctx.Err() != nil {
-				return
-			}
-			rowX := st.logs[x*n : (x+1)*n]
-			maxX := st.rowMax[x]
-			if g := bestBits.load(); g > local {
-				local = g
-				invT = 1 / local
-				amgm = 2 * math.Ln2 * local
-			}
-			for z := zlo; z < zhi; z++ {
-				if z == x {
-					continue
-				}
-				b := rowX[z]
-				if b+st.rowMin[z]+amgm >= 2*maxX {
-					continue
-				}
-				if math.Exp((b-maxX)*invT)+math.Exp((st.rowMin[z]-maxX)*invT) >= 1 {
-					continue
-				}
-				rowZ := st.logs[z*n : (z+1)*n]
-				aMin := (b + st.rowMin[z] + amgm) / 2
-				for y := 0; y < n; y++ {
-					if y == x || y == z {
-						continue
-					}
-					a := rowX[y]
-					if a <= aMin {
-						continue
-					}
-					c := rowZ[y]
-					if a <= c || b+c+amgm >= 2*a {
-						continue
-					}
-					if math.Exp((b-a)*invT)+math.Exp((c-a)*invT) >= 1 {
-						continue
-					}
-					if zt := zetaTriplet(a, b, c, st.tol); zt > local {
-						local = zt
-						invT = 1 / local
-						amgm = 2 * math.Ln2 * local
-						aMin = (b + st.rowMin[z] + amgm) / 2
-						bestBits.storeMax(zt)
-					}
-				}
-			}
-		}
-		bestBits.storeMax(local)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return bestBits.load(), nil
-}
+func (t *ZetaTracker) Zeta() float64 { return t.max }
 
 // VarphiTracker maintains the variant parameter ϕ = max f(x,z) /
 // (f(x,y) + f(y,z)) under mutations, with the same candidate-set scheme as
 // ZetaTracker. It reads the tracked Matrix directly through its
 // VarphiScanState (no private copy): the session layer mutates the matrix
 // first and then calls Repair with the dirty node set.
-type VarphiTracker struct {
-	st *VarphiScanState
-
-	varphi float64
-	floor  float64
-	set    []BandTriplet
-}
-
-// varphiFloorValue is ϕ's universal lower bound (attained on uniform
-// spaces).
-const varphiFloorValue = 0.5
+type VarphiTracker struct{ tracker }
 
 // VarphiFloor is ϕ's universal lower bound (attained on uniform spaces) —
 // the ϕ analogue of DefaultZetaFloor, exported so the sharded scans merge
 // against the same floor as the pool kernels.
-const VarphiFloor = varphiFloorValue
+const VarphiFloor = 0.5
 
 // NewVarphiTracker runs the full ϕ scan and collects the candidate band.
 // ctx is polled between rows; a cancelled build returns ctx.Err().
 func NewVarphiTracker(ctx context.Context, m *Matrix) (*VarphiTracker, error) {
-	t := &VarphiTracker{st: NewVarphiScanState(m), varphi: varphiFloorValue, floor: varphiFloorValue}
-	if t.st.n < 3 {
-		return t, ctx.Err()
-	}
-	if err := t.rescan(ctx); err != nil {
+	t, err := newTracker(ctx, NewVarphiScanState(m), VarphiFloor, true)
+	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &VarphiTracker{t}, nil
 }
 
 // NewVarphiTrackerFrom seeds a tracker from an externally driven full scan
 // (see NewZetaTrackerFrom): the exact maximum vmax and the band above
 // VarphiBandFloor(vmax).
 func NewVarphiTrackerFrom(st *VarphiScanState, vmax float64, band []BandTriplet) *VarphiTracker {
-	t := &VarphiTracker{st: st, varphi: vmax, floor: VarphiBandFloor(vmax), set: band}
-	t.set, t.floor = trim(t.set, t.floor)
+	t := &VarphiTracker{tracker{st: st, universal: VarphiFloor, readsY: true}}
+	t.Reseed(vmax, band)
 	return t
 }
 
-// State returns the tracker's scan replica.
-func (t *VarphiTracker) State() *VarphiScanState { return t.st }
-
 // Varphi returns the tracked parameter.
-func (t *VarphiTracker) Varphi() float64 { return t.varphi }
-
-// Floor returns the candidate-band floor τ.
-func (t *VarphiTracker) Floor() float64 { return t.floor }
-
-// PatchAndDrop applies the mutation prefix of a repair without scanning
-// (see ZetaTracker.PatchAndDrop); under rowsOnly it drops the candidates
-// whose row X or Y is dirty.
-func (t *VarphiTracker) PatchAndDrop(dirty []int, rowsOnly bool) []bool {
-	if t.st.n < 3 || len(dirty) == 0 {
-		return nil
-	}
-	t.st.PatchRows(dirty, rowsOnly)
-	mask := dirtyNodeMask(t.st.n, dirty)
-	t.set = dropDirtyBand(t.set, mask, rowsOnly, true) // ϕ reads rows X and Y
-	return mask
-}
-
-// AbsorbRepair merges an externally collected dirty-incident band and
-// re-derives the tracked ϕ (see ZetaTracker.AbsorbRepair).
-func (t *VarphiTracker) AbsorbRepair(band []BandTriplet) (varphi float64, needRescan bool) {
-	t.set = append(t.set, band...)
-	if len(t.set) == 0 && t.floor > varphiFloorValue {
-		return t.varphi, true
-	}
-	t.set, t.floor = trim(t.set, t.floor)
-	t.varphi = maxBand(t.set, varphiFloorValue)
-	return t.varphi, false
-}
-
-// Reseed installs the results of a full external rescan.
-func (t *VarphiTracker) Reseed(vmax float64, band []BandTriplet) {
-	t.varphi = vmax
-	t.floor = VarphiBandFloor(vmax)
-	t.set, t.floor = trim(band, t.floor)
-}
-
-// Repair re-establishes the tracked ϕ after the matrix mutated on the rows
-// and columns of the given nodes, and returns the new value. rowsOnly
-// declares a row-only mutation (see ZetaTracker.Repair): clean rows'
-// extrema are then provably unchanged and skipped, and since a ϕ triplet
-// (x, y, z) reads rows x and y only, a clean row x rescans just its
-// dirty-y pairs and skips the strided dirty-z column walk, keeping the
-// candidates whose X and Y are clean.
-func (t *VarphiTracker) Repair(dirty []int, rowsOnly bool) float64 {
-	if t.st.n < 3 || len(dirty) == 0 {
-		return t.varphi
-	}
-	n := t.st.n
-	mask := t.PatchAndDrop(dirty, rowsOnly)
-	var mu sync.Mutex
-	tau := t.floor
-	par.ForChunked(n, func(lo, hi int) {
-		var local []BandTriplet
-		for x := lo; x < hi; x++ {
-			local = t.st.repairRow(local, x, dirty, mask, rowsOnly, tau)
-		}
-		if len(local) > 0 {
-			mu.Lock()
-			t.set = append(t.set, local...)
-			mu.Unlock()
-		}
-	})
-	if len(t.set) == 0 && t.floor > varphiFloorValue {
-		t.rescan(context.Background())
-		return t.varphi
-	}
-	t.set, t.floor = trim(t.set, t.floor)
-	t.varphi = maxBand(t.set, varphiFloorValue)
-	return t.varphi
-}
-
-// rescan runs the full ϕ pass: exact maximum, then candidate collection a
-// margin below it.
-func (t *VarphiTracker) rescan(ctx context.Context) error {
-	vmax, err := t.fullMax(ctx)
-	if err != nil {
-		return err
-	}
-	t.varphi = vmax
-	t.floor = VarphiBandFloor(vmax)
-	t.set = t.set[:0]
-	if vmax <= varphiFloorValue {
-		return ctx.Err()
-	}
-	var mu sync.Mutex
-	tau := t.floor
-	n := t.st.n
-	err = par.ForChunkedCtx(ctx, n, func(lo, hi int) {
-		var local []BandTriplet
-		for x := lo; x < hi; x++ {
-			if ctx.Err() != nil {
-				return
-			}
-			rowX := t.st.m.row(x)
-			for y := 0; y < n; y++ {
-				if y != x {
-					local = t.st.collectPair(local, rowX, x, y, tau)
-				}
-			}
-		}
-		if len(local) > 0 {
-			mu.Lock()
-			t.set = append(t.set, local...)
-			mu.Unlock()
-		}
-	})
-	if err != nil {
-		return err
-	}
-	t.set, t.floor = trim(t.set, t.floor)
-	return nil
-}
-
-// fullMax is the exact tiled ϕ maximum over the tracked matrix — Varphi's
-// kernel minus the symmetric halving.
-func (t *VarphiTracker) fullMax(ctx context.Context) (float64, error) {
-	st := t.st
-	n := st.n
-	var bestBits uint64Max
-	bestBits.store(varphiFloorValue)
-	err := par.ForTilesCtx(ctx, n, tripletTile(n), func(xlo, xhi, ylo, yhi int) {
-		best := bestBits.load()
-		for x := xlo; x < xhi; x++ {
-			if ctx.Err() != nil {
-				return
-			}
-			rowX := st.m.row(x)
-			maxX := st.rowMaxF[x]
-			if g := bestBits.load(); g > best {
-				best = g
-			}
-			for y := ylo; y < yhi; y++ {
-				if y == x {
-					continue
-				}
-				fxy := rowX[y]
-				if maxX <= best*(fxy+st.rowMinF[y]) {
-					continue
-				}
-				rowY := st.m.row(y)
-				for z := 0; z < n; z++ {
-					if z == x || z == y {
-						continue
-					}
-					if r := rowX[z] / (fxy + rowY[z]); r > best {
-						best = r
-						bestBits.storeMax(r)
-					}
-				}
-			}
-		}
-		bestBits.storeMax(best)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return bestBits.load(), nil
-}
-
-// uint64Max is a small atomic float64 running-maximum (the shared-progress
-// cell of the tiled scans).
-type uint64Max struct{ bits atomic.Uint64 }
-
-func (u *uint64Max) store(v float64) { u.bits.Store(math.Float64bits(v)) }
-func (u *uint64Max) load() float64   { return math.Float64frombits(u.bits.Load()) }
-func (u *uint64Max) storeMax(v float64) {
-	storeMax(&u.bits, v)
-}
-
-// colMinima returns the smallest off-diagonal entry of each column of an
-// n×n row-major matrix — the column-side pruning bound of the partial
-// repair scans. Row chunks reduce into per-chunk minima merged under a
-// lock, keeping the traversal row-major.
-func colMinima(vals []float64, n int) []float64 {
-	mins := make([]float64, n)
-	for j := range mins {
-		mins[j] = math.Inf(1)
-	}
-	var mu sync.Mutex
-	par.ForChunked(n, func(lo, hi int) {
-		local := make([]float64, n)
-		for j := range local {
-			local[j] = math.Inf(1)
-		}
-		for i := lo; i < hi; i++ {
-			row := vals[i*n : (i+1)*n]
-			for j, v := range row {
-				if j != i && v < local[j] {
-					local[j] = v
-				}
-			}
-		}
-		mu.Lock()
-		for j, v := range local {
-			if v < mins[j] {
-				mins[j] = v
-			}
-		}
-		mu.Unlock()
-	})
-	return mins
-}
-
-// refreshColMinima recomputes mins[j] for the given columns only — one
-// strided pass per column, O(|cols|·n) against colMinima's O(n²).
-func refreshColMinima(mins, vals []float64, n int, cols []int) {
-	for _, j := range cols {
-		mn := math.Inf(1)
-		for i := 0; i < n; i++ {
-			if i == j {
-				continue
-			}
-			if v := vals[i*n+j]; v < mn {
-				mn = v
-			}
-		}
-		mins[j] = mn
-	}
-}
+func (t *VarphiTracker) Varphi() float64 { return t.max }

@@ -294,3 +294,27 @@ func TestQuasiMetricPatchedCopy(t *testing.T) {
 		}
 	}
 }
+
+// TestTrackersOnTinySpaces: spaces with fewer than three nodes have no
+// triplets; the trackers report the parameters' floors and repairs are
+// no-ops.
+func TestTrackersOnTinySpaces(t *testing.T) {
+	ctx := context.Background()
+	for n := 1; n <= 2; n++ {
+		m, err := UniformSpace(n, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zt, err := NewZetaTracker(ctx, m, 1e-12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vt, err := NewVarphiTracker(ctx, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if z, v := zt.Repair([]int{0}, true), vt.Repair([]int{0}, false); z != DefaultZetaFloor || v != VarphiFloor {
+			t.Fatalf("n=%d: ζ %v, ϕ %v", n, z, v)
+		}
+	}
+}

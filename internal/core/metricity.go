@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync/atomic"
-
-	"decaynet/internal/par"
 )
 
 // DefaultZetaFloor is the value Zeta reports for spaces in which every
@@ -27,16 +24,15 @@ func Zeta(d Space) float64 {
 // ZetaTol is Zeta with an explicit relative bisection tolerance (used by the
 // bisection-tolerance ablation).
 //
-// The scan is batch-first and cache-blocked: the O(n³) triplet loop runs as
-// (x,z)-tile kernels on the shared worker pool (par.ForTiles) over the
-// dense decay rows, so each row is streamed O(n/tile) times instead of
-// O(n). Almost every triplet is discharged by a linear-domain screen that
-// needs no exp or log (see ZetaTolCtx); the few survivors go through the
-// exp screen at the running maximum and then the bisection. Spaces
-// certifying exact symmetry through the Symmetric marker scan only ordered
-// pairs x < y, halving the triplet set (ζ is invariant under swapping the
-// endpoints when f is symmetric). The result equals the per-pair reference
-// up to bisection tolerance.
+// The scan is batch-first and cache-blocked: the O(n³) triplet loop runs
+// the ζ pair kernel (see shardscan.go) over (x,z)-tiles on the shared
+// worker pool (par.ForTiles), so each row is streamed O(n/tile) times
+// instead of O(n). Almost every triplet is discharged by a linear-domain
+// screen that needs no exp or log (see ZetaTolCtx); the few survivors go
+// through the exp screen and then the solver. Spaces certifying exact
+// symmetry through the Symmetric marker scan only ordered pairs x < y,
+// halving the triplet set (ζ is invariant under swapping the endpoints
+// when f is symmetric). The result has ZetaPerPair's bits.
 func ZetaTol(d Space, tol float64) float64 {
 	z, _ := ZetaTolCtx(context.Background(), d, tol)
 	return z
@@ -47,255 +43,66 @@ func ZetaTol(d Space, tol float64) float64 {
 // n ≫ 10³), so a cancelled scan returns promptly with ctx.Err() and no
 // partial value.
 //
+// The scan first solves two real triplets per node (the seed, O(n²)) and
+// starts its running maximum at their largest solved value s, which the
+// scan attains. Every prune then tests a triplet against the running
+// maximum divided by 1+δ, δ = 3·tol + 1e-9 (zetaScreenMargin), so it skips
+// only triplets whose solved value lies below the maximum: the result is
+// the largest solved value over every triplet, ZetaPerPair's bits, for
+// every tol ≥ 0 and every tile schedule.
+//
 // The linear screen rests on the monotonicity of Def. 2.2: a triplet that
-// satisfies the inequality at ζ₀ satisfies it at every ζ ≥ ζ₀. The scan
-// first solves a fixed set of real triplets (zetaSeed, O(n²)) and sets
-// ζ₀ = s/(1+δ), s being their largest solved value; the solver stops
-// within a relative error tol < δ, so ζ₀ lies below that triplet's true
-// value and hence below ζ. It then builds G = f^t₀ with t₀ = 1/ζ₀ once and
-// skips a triplet when
+// satisfies the inequality at ζ_G satisfies it at every ζ ≥ ζ_G. The scan
+// builds G = f^t_G, t_G = 1/ζ_G with ζ_G = s, once and skips a triplet when
 //
 //	G[x,y]·(1+δ) ≤ G[x,z] + G[z,y],
 //
 // and a whole (x,z) row pair when max_y G[x,y]·(1+δ) ≤ G[x,z] + min_y G[z,y].
 // With a = ln f(x,y), b = ln f(x,z), c = ln f(z,y), a skip says
-// g(t₀) ≥ 1+δ for the slack g(t) = e^((b−a)t) + e^((c−a)t) of zetaTriplet,
+// g(t_G) ≥ 1+δ for the slack g(t) = e^((b−a)t) + e^((c−a)t) of zetaTriplet,
 // which is convex and decreasing with root t* = 1/ζ_xyz. Convexity gives
-// t* − t₀ ≥ δ/|g′(t₀)|, and t₀|g′(t₀)| = Σ u·e^(−u) ≤ 2/e (u = (a−b)t₀ and
-// (a−c)t₀), so a skipped triplet has ζ_xyz ≤ ζ₀/(1 + e·δ/2). With
-// δ = 3·tol + 1e-9 (zetaScreenMargin), e·δ/2 exceeds the solver's error
-// with room to spare, and 1e-9 lies far above the rounding error of G
-// (see zetaScreenMargin), so a skipped triplet's solved value stays below ζ₀ — and so does that of
-// any triplet whose exp screen sees a lower running maximum because a
-// skipped one was never solved. The survivors go through the unchanged exp
-// screen and bisection, and the running maximum starts at the floor as
-// before, so the result has the bits the scan gives without the linear
-// screen, for every tol ≥ 0 (including the ablation's 1e-3; from tol = 1/3
-// on, δ ≥ 1 and, since g < 2, nothing is skipped). At coarse tol, ties
-// within tol of the maximum leave the last bits to tile scheduling, with
-// or without the screen. The screen is the first test in the y-loop: it
-// rejects nearly every triplet, so its branch predicts well.
+// t* − t_G ≥ δ/|g′(t_G)|, and t_G|g′(t_G)| = Σ u·e^(−u) ≤ 2/e (u = (a−b)t_G
+// and (a−c)t_G), so a skipped triplet has ζ_xyz ≤ ζ_G/(1 + e·δ/2). e·δ/2
+// exceeds the solver's relative error (below tol) with room to spare, and
+// 1e-9 lies far above the rounding error of G (see zetaScreenMargin), so a
+// skipped triplet solves below ζ_G, which never exceeds the running
+// maximum. The exp screen tests the inequality itself at ζ = max/(1+δ). The
+// linear screen is the first test in the y-loop: it rejects nearly every
+// triplet, so its branch predicts well.
 //
-// Memory: the scan holds one n×n float64 buffer, G, for its lifetime and
-// reads the dense decays in place. A *Matrix is not copied, so its peak is
-// that of a scan over a log matrix; any other space is materialized once
-// (Dense) next to G, two n×n buffers. Logarithms are taken only for the
-// triplets that survive the screen, bit-identical to ln of the row values.
+// Memory: the scan holds one n×n float64 buffer, G, for its lifetime. A
+// *Matrix is read in place; any other space is read row by row to build G
+// and entry by entry (F) for the few triplets that survive the screen, so
+// no dense copy is made unless G's exponents leave the float64 range and
+// the screen is off. Logarithms are taken only for surviving triplets.
 func ZetaTolCtx(ctx context.Context, d Space, tol float64) (float64, error) {
 	n := d.N()
 	if n < 3 {
 		return DefaultZetaFloor, ctx.Err()
 	}
-	m := Dense(d)
-	s, err := newZetaScreen(ctx, m, tol)
+	k, seed, err := newZetaKernel(ctx, d, tol)
 	if err != nil {
 		return 0, err
 	}
-	sym := KnownSymmetric(d)
-	var bestBits atomic.Uint64
-	bestBits.Store(math.Float64bits(DefaultZetaFloor))
-	err = par.ForTilesCtx(ctx, n, tripletTile(n), func(xlo, xhi, zlo, zhi int) {
-		local := math.Float64frombits(bestBits.Load())
-		t := 1 / local
-		for x := xlo; x < xhi; x++ {
-			if ctx.Err() != nil {
-				return
-			}
-			fX := m.row(x)
-			gX := s.g[x*n : (x+1)*n]
-			gMaxX := s.gMax[x] * s.mul
-			lnMaxX := s.lnMax[x]
-			yStart := 0
-			if sym {
-				yStart = x + 1 // (x,y) and (y,x) triplets coincide
-			}
-			if g := math.Float64frombits(bestBits.Load()); g > local {
-				local = g // adopt other workers' progress for pruning
-				t = 1 / local
-			}
-			for z := zlo; z < zhi; z++ {
-				if z == x {
-					continue
-				}
-				// Whole-row prunes: the strongest triplet this (x,z) pair
-				// can field combines the largest f(x,y) with the smallest
-				// f(z,y). If even that passes the linear screen, or
-				// satisfies the inequality at the current best ζ, no y can
-				// raise the maximum.
-				gxz := gX[z]
-				if gMaxX <= gxz+s.gMin[z] {
-					continue
-				}
-				b := math.Log(fX[z]) // ln f(x,z)
-				if math.Exp((b-lnMaxX)*t)+math.Exp((s.lnMin[z]-lnMaxX)*t) >= 1 {
-					continue
-				}
-				gZ := s.g[z*n : (z+1)*n]
-				fZ := m.row(z)
-				for y := yStart; y < n; y++ {
-					// The linear screen comes first: it rejects nearly
-					// every triplet, so its branch predicts well.
-					if gX[y]*s.mul <= gxz+gZ[y] || y == x || y == z {
-						continue
-					}
-					a := math.Log(fX[y]) // ln f(x,y)
-					if a <= b {
-						continue // right side dominates at every ζ
-					}
-					c := math.Log(fZ[y]) // ln f(z,y)
-					if a <= c {
-						continue
-					}
-					// Satisfied at the current best ζ ⇒ this triplet's ζ
-					// cannot raise the maximum; skip the bisection.
-					if math.Exp((b-a)*t)+math.Exp((c-a)*t) >= 1 {
-						continue
-					}
-					if zt := zetaTriplet(a, b, c, tol); zt > local {
-						local = zt
-						t = 1 / local
-						storeMax(&bestBits, zt)
-					}
-				}
-			}
-		}
-		storeMax(&bestBits, local)
-	})
-	if err != nil {
+	if err := k.buildG(ctx, seed); err != nil {
 		return 0, err
 	}
-	return math.Float64frombits(bestBits.Load()), nil
-}
-
-// zetaScreen is what the linear screen of ZetaTolCtx reads.
-type zetaScreen struct {
-	g            []float64 // G = f^t₀, row-major, zero diagonal
-	gMax, gMin   []float64 // per-row off-diagonal extrema of G
-	lnMax, lnMin []float64 // per-row off-diagonal extrema of ln f
-	mul          float64   // 1+δ; +Inf switches the screen off
-}
-
-// newZetaScreen derives ζ₀ from zetaSeed and builds G = f^(1/ζ₀) with its
-// row extrema (see ZetaTolCtx). ctx is polled per row.
-func newZetaScreen(ctx context.Context, m *Matrix, tol float64) (*zetaScreen, error) {
-	n := m.n
-	s := &zetaScreen{lnMax: make([]float64, n), lnMin: make([]float64, n)}
-	seed, err := zetaSeed(ctx, m, tol, s.lnMax, s.lnMin)
-	if err != nil {
-		return nil, err
+	if k.g == nil && k.m == nil {
+		k.m = Dense(d) // no screen: every surviving triplet reads the rows
 	}
-	delta := zetaScreenMargin(tol)
-	t0 := (1 + delta) / seed // 1/ζ₀
-	s.g = make([]float64, n*n)
-	s.gMax, s.gMin = make([]float64, n), make([]float64, n)
-	var wide atomic.Bool
-	err = par.ForChunkedCtx(ctx, n, func(lo, hi int) {
-		for i := lo; i < hi && ctx.Err() == nil; i++ {
-			out := s.g[i*n : (i+1)*n]
-			mx, mn := math.Inf(-1), math.Inf(1)
-			for j, v := range m.row(i) {
-				if j == i {
-					continue
-				}
-				y := t0 * math.Log2(v)
-				if !(math.Abs(y) <= maxScreenExp) {
-					wide.Store(true)
-					y = 0
-				}
-				out[j] = math.Exp2(y)
-				mx = max(mx, out[j])
-				mn = min(mn, out[j])
-			}
-			s.gMax[i], s.gMin[i] = mx, mn
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.mul = 1 + delta
-	if wide.Load() {
-		// A decay below 2^−1000 or above 2^1000 (at t₀ = 1) would leave
-		// the normal float64 range in G: switch the screen off.
-		s.mul = math.Inf(1)
-	}
-	return s, nil
+	return poolMax(ctx, k, seed, KnownSymmetric(d))
 }
 
 // maxScreenExp bounds the exponents of G: 2^±1000 are normal float64s.
 const maxScreenExp = 1000
 
-// zetaScreenMargin returns δ for the linear screen at bisection tolerance
-// tol (see ZetaTolCtx): 3·tol covers the solver's stopping error twice
-// over — once for the seed value behind ζ₀, once for a skipped triplet —
-// and 1e-9 the error of G (math.Log2 and math.Exp2 within an ulp or two,
-// and |t₀·log₂ f| ≤ 1000, so below 1e-12 relative) and of the screen's own
-// product and sum.
+// zetaScreenMargin returns δ for the screens at bisection tolerance tol
+// (see ZetaTolCtx): 3·tol covers the solver's stopping error with room to
+// spare, and 1e-9 the error of G (math.Log2 and math.Exp2 within an ulp or
+// two, and |t_G·log₂ f| ≤ 1000, so below 1e-12 relative), of the exp
+// screen's exponentials and of the screens' own products and sums.
 func zetaScreenMargin(tol float64) float64 {
 	return 3*math.Max(tol, 0) + 1e-9
-}
-
-// zetaSeed returns the largest zetaTriplet value over two real triplets
-// per node x, the basis of the linear screen's ζ₀ (see ZetaTolCtx), and
-// fills lnMax[x], lnMin[x] with the logarithms of row x's largest and
-// smallest off-diagonal decay. The first triplet pairs x with its farthest
-// node y (largest f(x,y)) and the relay z that minimizes
-// max(f(x,z), f(y,z)); the second pairs x with its nearest node z
-// (smallest f(x,z)) and the y that maximizes f(x,y)/max(f(x,z), f(z,y)).
-// O(n²) work over contiguous rows, a logarithm only per candidate.
-func zetaSeed(ctx context.Context, m *Matrix, tol float64, lnMax, lnMin []float64) (float64, error) {
-	n := m.n
-	var bestBits atomic.Uint64
-	bestBits.Store(math.Float64bits(DefaultZetaFloor))
-	err := par.ForChunkedCtx(ctx, n, func(lo, hi int) {
-		best := DefaultZetaFloor
-		try := func(x, y, z int) {
-			if zt := zetaTriplet(math.Log(m.f[x*n+y]), math.Log(m.f[x*n+z]), math.Log(m.f[z*n+y]), tol); zt > best {
-				best = zt
-			}
-		}
-		for x := lo; x < hi && ctx.Err() == nil; x++ {
-			fX := m.row(x)
-			far, near := -1, -1
-			for j, v := range fX {
-				if j == x {
-					continue
-				}
-				if far < 0 || v > fX[far] {
-					far = j
-				}
-				if near < 0 || v < fX[near] {
-					near = j
-				}
-			}
-			lnMax[x], lnMin[x] = math.Log(fX[far]), math.Log(fX[near])
-			// One pass picks the relay for the farthest pair, chosen on
-			// f(y,z) (equal to f(z,y) on symmetric spaces, and a contiguous
-			// row either way), and the target for the nearest relay, which
-			// maximizes f(x,y)/max(f(x,z), f(z,y)) without dividing.
-			fY, fZ := m.row(far), m.row(near)
-			fxz := fX[near]
-			relay, worst := -1, math.Inf(1)
-			target, num, den := -1, 0.0, 1.0
-			for j, v := range fX {
-				if j == x {
-					continue
-				}
-				if w := max(v, fY[j]); w < worst && j != far {
-					relay, worst = j, w
-				}
-				if w := max(fxz, fZ[j]); v*den > num*w && j != near {
-					target, num, den = j, v, w
-				}
-			}
-			try(x, far, relay)
-			try(x, target, near)
-		}
-		storeMax(&bestBits, best)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(bestBits.Load()), nil
 }
 
 // tripletTile returns the (x,z) tile edge for an n-node triplet scan: small
@@ -311,35 +118,6 @@ func tripletTile(n int) int {
 	default:
 		return 0
 	}
-}
-
-// rowExtrema returns, for each row i of an n×n row-major matrix (log
-// decays for ZetaTol, raw decays for Varphi), the largest and smallest
-// off-diagonal entry. The triplet kernels use them to discharge whole
-// row pairs without touching the inner loop. Diagonal entries (ln 0 or 0)
-// are skipped.
-func rowExtrema(vals []float64, n int) (rowMax, rowMin []float64) {
-	rowMax = make([]float64, n)
-	rowMin = make([]float64, n)
-	par.ForChunked(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := vals[i*n : (i+1)*n]
-			mx, mn := math.Inf(-1), math.Inf(1)
-			for j, v := range row {
-				if j == i {
-					continue
-				}
-				if v > mx {
-					mx = v
-				}
-				if v < mn {
-					mn = v
-				}
-			}
-			rowMax[i], rowMin[i] = mx, mn
-		}
-	})
-	return rowMax, rowMin
 }
 
 // ZetaPerPair is the pre-batching reference implementation of ZetaTol: one
@@ -367,39 +145,6 @@ func ZetaPerPair(d Space, tol float64) float64 {
 		}
 	}
 	return best
-}
-
-// logMatrix returns the dense matrix of ln f(i,j), filled row-wise through
-// the batch contract in parallel. Diagonal entries are ln 0 = -Inf and are
-// skipped by all consumers.
-func logMatrix(d Space) []float64 {
-	rs := Rows(d)
-	n := rs.N()
-	logs := make([]float64, n*n)
-	par.ForChunked(n, func(lo, hi int) {
-		buf := make([]float64, n)
-		for i := lo; i < hi; i++ {
-			rs.Row(i, buf)
-			out := logs[i*n : (i+1)*n]
-			for j, v := range buf {
-				out[j] = math.Log(v)
-			}
-		}
-	})
-	return logs
-}
-
-// storeMax raises the float64 packed in bits to v if v is larger.
-func storeMax(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
 }
 
 // ZetaTriplet returns the smallest ζ at which the triplet with decays
@@ -505,11 +250,12 @@ func SatisfiesZeta(d Space, zeta, tol float64) bool {
 // (attained when all decays are equal). Requires n ≥ 3; smaller spaces
 // return 1/2.
 //
-// Like ZetaTol, the scan is a cache-blocked (x,y)-tile kernel on the
-// shared worker pool: per-row decay extrema discharge whole (x,y) pairs
-// whose best possible ratio max_z f(x,z)/(f(x,y)+min_z f(y,z)) cannot beat
-// the running maximum, and exactly symmetric spaces scan only x < z (the
-// ratio is invariant under swapping the endpoints).
+// Like ZetaTol, the scan runs its pair kernel (see shardscan.go) over
+// (x,y)-tiles on the shared worker pool: per-row decay extrema discharge
+// whole (x,y) pairs whose best possible ratio max_z f(x,z)/(f(x,y) +
+// min_z f(y,z)) cannot beat the running maximum, and exactly symmetric
+// spaces scan only x < z (the ratio is invariant under swapping the
+// endpoints). The result has VarphiPerPair's bits.
 func Varphi(d Space) float64 {
 	v, _ := VarphiCtx(context.Background(), d)
 	return v
@@ -519,58 +265,11 @@ func Varphi(d Space) float64 {
 // is polled between x-rows and a cancelled scan returns ctx.Err() with no
 // partial value.
 func VarphiCtx(ctx context.Context, d Space) (float64, error) {
-	n := d.N()
-	if n < 3 {
-		return 0.5, ctx.Err()
+	if d.N() < 3 {
+		return VarphiFloor, ctx.Err()
 	}
 	m := Dense(d)
-	sym := m.Symmetric()
-	rowMaxF, rowMinF := rowExtrema(m.f, m.n)
-	var bestBits atomic.Uint64
-	bestBits.Store(math.Float64bits(0.5))
-	err := par.ForTilesCtx(ctx, n, tripletTile(n), func(xlo, xhi, ylo, yhi int) {
-		best := math.Float64frombits(bestBits.Load())
-		for x := xlo; x < xhi; x++ {
-			if ctx.Err() != nil {
-				return
-			}
-			rowX := m.row(x) // f(x,·)
-			maxX := rowMaxF[x]
-			zStart := 0
-			if sym {
-				zStart = x + 1 // (x,·,z) and (z,·,x) ratios coincide
-			}
-			if g := math.Float64frombits(bestBits.Load()); g > best {
-				best = g // adopt other workers' progress for pruning
-			}
-			for y := ylo; y < yhi; y++ {
-				if y == x {
-					continue
-				}
-				fxy := rowX[y]
-				// Whole-row prune: even the largest numerator over the
-				// smallest denominator cannot beat the running maximum.
-				if maxX <= best*(fxy+rowMinF[y]) {
-					continue
-				}
-				rowY := m.row(y) // f(y,·)
-				for z := zStart; z < n; z++ {
-					if z == x || z == y {
-						continue
-					}
-					if r := rowX[z] / (fxy + rowY[z]); r > best {
-						best = r
-						storeMax(&bestBits, r)
-					}
-				}
-			}
-		}
-		storeMax(&bestBits, best)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(bestBits.Load()), nil
+	return poolMax(ctx, &NewVarphiScanState(m).k, VarphiFloor, m.Symmetric())
 }
 
 // VarphiPerPair is the serial, per-element reference implementation of

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -153,6 +154,35 @@ func TestVarphiTiledMatchesPerPair(t *testing.T) {
 	}
 }
 
+// TestZetaTolAllocatesOneBuffer: on a space that is not a *Matrix the
+// exact scan builds G from rows and reads single decays through F for the
+// triplets that survive the screen, so it allocates one n×n float64
+// buffer and little else — no dense copy of the space beside G.
+func TestZetaTolAllocatesOneBuffer(t *testing.T) {
+	const n = 256
+	src := rng.New(9)
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Pt(src.Range(0, 100), src.Range(0, 100))
+	}
+	g, err := NewGeometricSpace(pts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := ZetaTolCtx(context.Background(), g, 1e-12); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1.25*8*n*n)
+	if got >= limit {
+		t.Fatalf("ZetaTolCtx allocated %d bytes on n=%d, want < %d (1.25 n×n buffers)", got, n, limit)
+	}
+	t.Logf("ZetaTolCtx allocated %d bytes, %.3f n×n buffers", got, float64(got)/(8*n*n))
+}
+
 // TestZetaTiledMatchesPerPairGeometric covers the Symmetric-marker fast
 // path on a space that certifies symmetry without being a Matrix.
 func TestZetaTiledMatchesPerPairGeometric(t *testing.T) {
@@ -187,6 +217,21 @@ func TestSymmetricMarker(t *testing.T) {
 	// A space without the marker never certifies, even when symmetric.
 	if KnownSymmetric(funcSpace{n: 3}) {
 		t.Error("marker-less space certified")
+	}
+	// The blocked check sees one broken pair in any block, the partial
+	// last block included.
+	big := Symmetrized(randomSpace(t, 4, 70, 1, 10))
+	for _, e := range [][2]int{{0, 1}, {3, 68}, {40, 33}, {69, 68}} {
+		m := big.Clone()
+		if !m.Symmetric() {
+			t.Fatal("symmetrized matrix not certified")
+		}
+		if err := m.Set(e[0], e[1], m.F(e[0], e[1])*2); err != nil {
+			t.Fatal(err)
+		}
+		if m.Symmetric() {
+			t.Errorf("f(%d,%d) ≠ f(%d,%d) certified", e[0], e[1], e[1], e[0])
+		}
 	}
 }
 
@@ -466,14 +511,11 @@ func TestZetaScreenNearUnitDecays(t *testing.T) {
 		}
 		m.f[2] = math.Nextafter(1, 0)
 		m.f[3] = 1 - 4e-14
-		s, err := newZetaScreen(context.Background(), m, 1e-12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.IsInf(s.mul, 1) {
+		k := screenKernel(t, m, 1e-12)
+		if k.g == nil {
 			t.Fatalf("far=%v: screen switched off", far)
 		}
-		for i, g := range s.g {
+		for i, g := range k.g {
 			if i%(n+1) != 0 && m.f[i] < 1 && !(g > 0 && g <= 1) {
 				t.Fatalf("far=%v: G[%d] = %v for decay %v", far, i, g, m.f[i])
 			}
@@ -482,18 +524,34 @@ func TestZetaScreenNearUnitDecays(t *testing.T) {
 		if want := math.Log2(far); math.Abs(ref-want) > 1e-6*want {
 			t.Fatalf("far=%v: per-pair ζ %v, want ≈ %v", far, ref, want)
 		}
-		if math.Abs(got-ref) > 1e-9*ref {
+		if math.Float64bits(got) != math.Float64bits(ref) {
 			t.Fatalf("far=%v: zeta %v, per-pair %v", far, got, ref)
 		}
 	}
 }
 
+// screenKernel builds the kernel ZetaTolCtx scans m with: its row
+// extrema and G at ζ_G = the seed's value.
+func screenKernel(t *testing.T, m *Matrix, tol float64) *zetaKernel {
+	t.Helper()
+	ctx := context.Background()
+	k, seed, err := newZetaKernel(ctx, m, tol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.buildG(ctx, seed); err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
 // TestZetaScreenSkipsAreSafe checks the bound behind the linear screen
-// triplet by triplet: ζ₀ does not exceed the exact ζ, every triplet the
-// screen skips solves below ζ₀, and a whole-row skip only covers triplets
-// the per-triplet test skips too — at the tight tolerance and at the
-// ablation's 1e-3. Among the spaces, a grid under geometric path loss has
-// many exact ties at ζ = α, the closest a triplet can come to ζ₀.
+// triplet by triplet: ζ_G (the seed's value) does not exceed the exact ζ,
+// every triplet the screen skips solves below ζ_G, and a whole-row skip
+// only covers triplets the per-triplet test skips too — at the tight
+// tolerance and at the ablation's 1e-3. Among the spaces, a grid under
+// geometric path loss has many exact ties at ζ = α, the closest a triplet
+// can come to ζ_G.
 func TestZetaScreenSkipsAreSafe(t *testing.T) {
 	grid, err := NewGeometricSpace(gridPoints(4), 2.5)
 	if err != nil {
@@ -504,24 +562,15 @@ func TestZetaScreenSkipsAreSafe(t *testing.T) {
 		"sym":  Symmetrized(randomSpace(t, 6, 24, 0.5, 2)),
 		"grid": Materialize(grid),
 	}
-	ctx := context.Background()
 	for name, m := range spaces {
 		n := m.N()
 		for _, tol := range []float64{1e-12, 1e-6, 1e-3} {
-			s, err := newZetaScreen(ctx, m, tol)
-			if err != nil {
-				t.Fatal(err)
+			k := screenKernel(t, m, tol)
+			if exact := ZetaPerPair(m, tol); k.zetaG > exact {
+				t.Fatalf("%s tol=%g: ζ_G %v above exact ζ %v", name, tol, k.zetaG, exact)
 			}
-			seed, err := zetaSeed(ctx, m, tol, make([]float64, n), make([]float64, n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			zeta0 := seed / (1 + zetaScreenMargin(tol))
-			if exact := ZetaPerPair(m, tol); zeta0 > exact {
-				t.Fatalf("%s tol=%g: ζ₀ %v above exact ζ %v", name, tol, zeta0, exact)
-			}
-			if s.mul != 1+zetaScreenMargin(tol) {
-				t.Fatalf("%s tol=%g: screen multiplier %v", name, tol, s.mul)
+			if k.mul != 1+zetaScreenMargin(tol) || k.g == nil {
+				t.Fatalf("%s tol=%g: screen multiplier %v, G held %v", name, tol, k.mul, k.g != nil)
 			}
 			skipped := 0
 			for x := 0; x < n; x++ {
@@ -529,12 +578,12 @@ func TestZetaScreenSkipsAreSafe(t *testing.T) {
 					if z == x {
 						continue
 					}
-					rowSkip := s.gMax[x]*s.mul <= s.g[x*n+z]+s.gMin[z]
+					rowSkip := k.gMax[x]*k.mul <= k.g[x*n+z]+k.gMin[z]
 					for y := 0; y < n; y++ {
 						if y == x || y == z {
 							continue
 						}
-						if s.g[x*n+y]*s.mul > s.g[x*n+z]+s.g[z*n+y] {
+						if k.g[x*n+y]*k.mul > k.g[x*n+z]+k.g[z*n+y] {
 							if rowSkip {
 								t.Fatalf("%s tol=%g: row skip covers unskipped triplet (%d,%d,%d)", name, tol, x, y, z)
 							}
@@ -542,8 +591,8 @@ func TestZetaScreenSkipsAreSafe(t *testing.T) {
 						}
 						skipped++
 						zt := zetaTriplet(math.Log(m.F(x, y)), math.Log(m.F(x, z)), math.Log(m.F(z, y)), tol)
-						if zt >= zeta0 && zt > DefaultZetaFloor {
-							t.Fatalf("%s tol=%g: skipped triplet (%d,%d,%d) solves to %v ≥ ζ₀ %v", name, tol, x, y, z, zt, zeta0)
+						if zt >= k.zetaG && zt > DefaultZetaFloor {
+							t.Fatalf("%s tol=%g: skipped triplet (%d,%d,%d) solves to %v ≥ ζ_G %v", name, tol, x, y, z, zt, k.zetaG)
 						}
 					}
 				}
@@ -556,16 +605,12 @@ func TestZetaScreenSkipsAreSafe(t *testing.T) {
 }
 
 // TestZetaScreenSwitchesOff: decays near 10^301 put G's exponents past the
-// normal float64 range at ζ₀ ≈ 1, so the screen switches itself off and
-// the scan solves every surviving triplet as the per-pair oracle does.
+// normal float64 range at ζ_G ≈ 1, so the scan holds no G and solves every
+// surviving triplet as the per-pair oracle does.
 func TestZetaScreenSwitchesOff(t *testing.T) {
 	m := randomSpace(t, 8, 16, 1e301, 1.9e301)
-	s, err := newZetaScreen(context.Background(), m, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(s.mul, 1) {
-		t.Fatalf("screen multiplier %v, want +Inf", s.mul)
+	if k := screenKernel(t, m, 1e-12); k.g != nil {
+		t.Fatalf("G held at ζ_G %v", k.zetaG)
 	}
 	if got, ref := Zeta(m), ZetaPerPair(m, 1e-12); got != ref {
 		t.Fatalf("zeta %v, per-pair %v", got, ref)

@@ -267,8 +267,7 @@ func sampledScan(ctx context.Context, d Space, samples int, src *rng.Source, flo
 		seeds[i] = src.Uint64()
 	}
 	maxima := make([]float64, strata)
-	var bestBits atomic.Uint64
-	bestBits.Store(math.Float64bits(floor))
+	best := newSharedMax(floor)
 	var evaluated atomic.Int64
 	err := par.ForChunkedCtx(ctx, strata, func(lo, hi int) {
 		rowA := make([]float64, n)
@@ -301,11 +300,11 @@ func sampledScan(ctx context.Context, d Space, samples int, src *rng.Source, flo
 				local = got
 			}
 		}
-		storeMax(&bestBits, local)
+		best.raise(local)
 		evaluated.Add(int64(count))
 	})
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	return math.Float64frombits(bestBits.Load()), int(evaluated.Load()), maxima, nil
+	return best.load(), int(evaluated.Load()), maxima, nil
 }

@@ -3,17 +3,29 @@ package core
 import (
 	"context"
 	"math"
+	"sync"
+	"sync/atomic"
+
+	"decaynet/internal/par"
 )
 
-// Partial-reduction forms of the triplet kernels. A ZetaScanState /
-// VarphiScanState is the replica a shard worker scans: the (log-)decay
-// matrix plus the pruning extrema, with serial row-range methods —
-// MaxRange, CollectRange, RepairRange — whose union over a partition of
-// [0, n) reproduces exactly what the pool-parallel kernels compute. Every
-// triplet value comes from the same deterministic per-triplet functions
-// (zetaTriplet, the ϕ ratio), so merging per-shard maxima with max and
-// concatenating per-shard bands is bit-identical to the unsharded scans:
-// the reduction is associative and no partial result depends on schedule.
+// The exact triplet kernels. Every exact ζ route — ZetaTolCtx, a shard
+// worker's row range over a ZetaScanState or a StreamScan, and a tracker's
+// full scan, band collection and repair — runs one ζ pair kernel
+// (zetaRun.pair), and every exact ϕ route one ϕ pair kernel
+// (varphiRun.pair), through the shared scan loops at the end of this
+// file. A run keeps the triplets whose value exceeds its bound: in max
+// mode the bound is a running maximum that each kept triplet raises, in
+// band mode it is a fixed floor and the kept triplets are appended to a
+// band. A triplet is
+// skipped only when its value provably cannot exceed the bound, and a kept
+// value is the expression the per-pair oracle evaluates on the same
+// decays. The maximum of a set does not depend on the order in which it
+// is visited, and concatenated bands are the same multiset, so every
+// route returns ZetaPerPair's (VarphiPerPair's) bits for every tolerance,
+// schedule and row partition, and per-shard maxima and bands merge into
+// exactly the unsharded results. ZetaScanState, VarphiScanState and
+// StreamScan hold the data the kernels read and nothing else.
 //
 // The incremental trackers (ZetaTracker / VarphiTracker) are built on the
 // same states, which is what lets a sharding coordinator seed the global
@@ -66,169 +78,138 @@ func dropDirtyBand(set []BandTriplet, mask []bool, rowsOnly, readsY bool) []Band
 	return out
 }
 
-// ZetaScanState is the ζ scan replica: the log-decay matrix of a dense
-// space plus the row/column pruning extrema, supporting serial row-range
-// partial scans. The underlying Matrix is read at construction and on
-// PatchRows; between patches the state is immutable and safe for
-// concurrent range scans.
+// ZetaScanState is the ζ scan replica of a dense space: the linear
+// screen's G and the row extrema the ζ pair kernel reads beside the
+// Matrix, which is read in place, and the seed value its max scans start
+// at. Between PatchRows calls the state is safe for concurrent range
+// scans.
 type ZetaScanState struct {
-	m   *Matrix
-	n   int
-	tol float64
-
-	logs                   []float64 // ln f, row-major
-	rowMax, rowMin, colMin []float64 // off-diagonal extrema of logs
+	mu   sync.Mutex // guards k and seed: scans copy k while another may rebuild G
+	k    zetaKernel
+	seed float64 // seedRows over every row of the current matrix; 0 after a patch
 }
 
-// NewZetaScanState materializes the log matrix and pruning extrema of m
-// (parallel, O(n²)) for range scanning at bisection tolerance tol.
-func NewZetaScanState(m *Matrix, tol float64) *ZetaScanState {
-	n := m.N()
-	s := &ZetaScanState{m: m, n: n, tol: tol}
-	if n < 3 {
-		return s
+// NewZetaScanState derives the row extrema of m, solves its seed
+// triplets and builds G at ζ_G = ZetaBandFloor(seed), at or below the
+// floor of any tracker band over m (parallel, O(n²)), for range scanning
+// at bisection tolerance tol. ctx is polled per row; a cancelled build
+// returns ctx.Err().
+func NewZetaScanState(ctx context.Context, m *Matrix, tol float64) (*ZetaScanState, error) {
+	k, seed, err := newZetaKernel(ctx, m, tol)
+	if err == nil && k.n >= 3 {
+		err = k.buildG(ctx, ZetaBandFloor(seed))
 	}
-	s.logs = logMatrix(m)
-	s.rowMax, s.rowMin = rowExtrema(s.logs, n)
-	s.colMin = colMinima(s.logs, n)
-	return s
+	if err != nil {
+		return nil, err
+	}
+	return &ZetaScanState{k: *k, seed: seed}, nil
 }
 
 // N returns the number of nodes scanned.
-func (s *ZetaScanState) N() int { return s.n }
+func (s *ZetaScanState) N() int { return s.k.n }
 
-// PatchRows refreshes the replica after the underlying matrix mutated on
-// the rows (and, unless rowsOnly, columns) of the dirty nodes: dirty log
-// rows are recomputed wholesale, dirty column entries per clean row, and
-// the affected extrema re-derived. Callers serialize PatchRows against
-// range scans (the session layer holds its write lock across repairs).
+// maxKernel returns a copy of the state's kernel for a max scan and the
+// value the scan starts at: the seed, a value the current matrix attains.
+// After a patch it solves the seed triplets again, and when the seed fell
+// below ζ_G — the maximum fell, so the next band floor will too — it
+// rebuilds G at ζ_G = ZetaBandFloor(seed) in fresh buffers, so concurrent
+// scans holding the old kernel read the old G.
+func (s *ZetaScanState) maxKernel(ctx context.Context) (*zetaKernel, float64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.seed == 0 {
+		seed, err := s.k.seed(ctx, false)
+		if err != nil {
+			return nil, 0, err
+		}
+		if seed < s.k.zetaG {
+			if err := s.k.buildG(ctx, ZetaBandFloor(seed)); err != nil {
+				return nil, 0, err
+			}
+		}
+		s.seed = seed
+	}
+	k := s.k
+	return &k, s.seed, nil
+}
+
+// bandKernel returns a copy of the state's kernel for a band scan at
+// floor, first rebuilding G at ζ_G = floor when a reseed dropped the floor
+// below ζ_G.
+func (s *ZetaScanState) bandKernel(floor float64) *zetaKernel {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.k.g != nil && floor < s.k.zetaG {
+		s.k.buildG(context.Background(), floor)
+	}
+	k := s.k
+	return &k
+}
+
+// PatchRows refreshes G and the row extrema after the underlying matrix
+// mutated on the rows (and, unless rowsOnly, columns) of the dirty nodes.
+// Callers serialize PatchRows against range scans (the session layer
+// holds its write lock across repairs).
 func (s *ZetaScanState) PatchRows(dirty []int, rowsOnly bool) {
-	if s.n < 3 || len(dirty) == 0 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	k := &s.k
+	if k.n < 3 || len(dirty) == 0 {
 		return
 	}
-	n := s.n
-	mask := make([]bool, n)
-	for _, r := range dirty {
-		mask[r] = true
-	}
-	for x := 0; x < n; x++ {
-		row := s.m.row(x)
-		out := s.logs[x*n : (x+1)*n]
-		if mask[x] {
-			for j, v := range row {
-				out[j] = math.Log(v)
+	s.seed = 0 // the seed triplets may have changed
+	n, t := k.n, 1/k.zetaG
+	mask := dirtyNodeMask(n, dirty)
+	var wide atomic.Bool
+	par.ForChunked(n, func(lo, hi int) {
+		for x := lo; x < hi; x++ {
+			if rowsOnly && !mask[x] {
+				continue // a clean row and its extrema are untouched
 			}
-			continue
+			fX := k.m.row(x)
+			if k.g != nil {
+				gX, ok := k.g[x*n:(x+1)*n], true
+				if mask[x] {
+					k.gMax[x], k.gMin[x], ok = gRow(gX, fX, x, t)
+				} else {
+					for _, j := range dirty {
+						var in bool
+						gX[j], in = gEntry(fX[j], t)
+						ok = ok && in
+					}
+					k.gMax[x], k.gMin[x] = offDiagExtrema(gX, x)
+				}
+				if !ok {
+					wide.Store(true)
+				}
+			}
+			hi, lo := offDiagExtrema(fX, x)
+			k.lnMax[x], k.lnMin[x] = math.Log(hi), math.Log(lo)
 		}
-		if rowsOnly {
-			continue
-		}
-		for _, r := range dirty {
-			out[r] = math.Log(row[r])
-		}
+	})
+	if wide.Load() {
+		k.dropG()
 	}
-	if rowsOnly {
-		for _, r := range dirty {
-			s.refreshRow(r)
-		}
-	} else {
-		s.rowMax, s.rowMin = rowExtrema(s.logs, n)
-	}
-	refreshColMinima(s.colMin, s.logs, n, dirty)
 }
 
-// refreshRow re-derives one row's extrema after its log entries changed.
-func (s *ZetaScanState) refreshRow(x int) {
-	n := s.n
-	row := s.logs[x*n : (x+1)*n]
-	mx, mn := math.Inf(-1), math.Inf(1)
-	for j, v := range row {
-		if j == x {
-			continue
-		}
-		if v > mx {
-			mx = v
-		}
-		if v < mn {
-			mn = v
-		}
-	}
-	s.rowMax[x], s.rowMin[x] = mx, mn
-}
-
-// MaxRange returns the exact ζ maximum over the ordered triplets whose
-// first index lies in [xlo, xhi) — the shard-sized partial reduction whose
-// max-merge over a row partition equals the full scan. The scan is serial
-// (one shard = one goroutine; parallelism comes from the number of shards)
-// but cache-blocked over z like the tiled kernels, and polls ctx per row.
-// sym certifies exact decay symmetry: the y-loop then starts at x+1,
-// halving the triplet set exactly as ZetaTol does.
+// MaxRange returns the larger of the state's seed value and the exact ζ
+// maximum over the ordered triplets whose first index lies in [xlo, xhi) —
+// the shard-sized partial reduction. The seed is a value the space
+// attains, so the max-merge over a row partition equals the full scan,
+// and starting there keeps the linear screen on from the first row. The
+// scan is serial (one shard = one goroutine; parallelism comes from the
+// number of shards) and polls ctx per row. sym certifies exact decay
+// symmetry: the y-loop then starts at x+1, halving the triplet set exactly
+// as ZetaTol does.
 func (s *ZetaScanState) MaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
-	best := DefaultZetaFloor
-	if s.n < 3 || xlo >= xhi {
-		return best, ctx.Err()
+	if s.k.n < 3 || xlo >= xhi {
+		return DefaultZetaFloor, ctx.Err()
 	}
-	n := s.n
-	invT := 1 / best
-	amgm := 2 * math.Ln2 * best
-	tile := tripletTile(n)
-	if tile <= 0 {
-		tile = n
+	k, seed, err := s.maxKernel(ctx)
+	if err != nil {
+		return 0, err
 	}
-	for ztile := 0; ztile < n; ztile += tile {
-		zhi := ztile + tile
-		if zhi > n {
-			zhi = n
-		}
-		for x := xlo; x < xhi; x++ {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			rowX := s.logs[x*n : (x+1)*n]
-			maxX := s.rowMax[x]
-			yStart := 0
-			if sym {
-				yStart = x + 1
-			}
-			for z := ztile; z < zhi; z++ {
-				if z == x {
-					continue
-				}
-				b := rowX[z]
-				if b+s.rowMin[z]+amgm >= 2*maxX {
-					continue
-				}
-				if math.Exp((b-maxX)*invT)+math.Exp((s.rowMin[z]-maxX)*invT) >= 1 {
-					continue
-				}
-				rowZ := s.logs[z*n : (z+1)*n]
-				aMin := (b + s.rowMin[z] + amgm) / 2
-				for y := yStart; y < n; y++ {
-					if y == x || y == z {
-						continue
-					}
-					a := rowX[y]
-					if a <= aMin {
-						continue
-					}
-					c := rowZ[y]
-					if a <= c || b+c+amgm >= 2*a {
-						continue
-					}
-					if math.Exp((b-a)*invT)+math.Exp((c-a)*invT) >= 1 {
-						continue
-					}
-					if zt := zetaTriplet(a, b, c, s.tol); zt > best {
-						best = zt
-						invT = 1 / best
-						amgm = 2 * math.Ln2 * best
-						aMin = (b + s.rowMin[z] + amgm) / 2
-					}
-				}
-			}
-		}
-	}
-	return best, nil
+	return maxRange(ctx, k, xlo, xhi, sym, seed, nil)
 }
 
 // CollectRange returns every ordered triplet with first index in
@@ -237,24 +218,10 @@ func (s *ZetaScanState) MaxRange(ctx context.Context, xlo, xhi int, sym bool) (f
 // a full collection pass produces (order aside, which no consumer depends
 // on). ctx is polled per row.
 func (s *ZetaScanState) CollectRange(ctx context.Context, xlo, xhi int, floor float64) ([]BandTriplet, error) {
-	var out []BandTriplet
-	if s.n < 3 {
-		return out, ctx.Err()
+	if s.k.n < 3 {
+		return nil, ctx.Err()
 	}
-	invT := 1 / floor
-	amgm := 2 * math.Ln2 * floor
-	for x := xlo; x < xhi; x++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rowX := s.logs[x*s.n : (x+1)*s.n]
-		for z := 0; z < s.n; z++ {
-			if z != x {
-				out = s.collectPair(out, rowX, x, z, invT, amgm)
-			}
-		}
-	}
-	return out, nil
+	return bandRange(ctx, s.bandKernel(floor), xlo, xhi, floor, collectRow)
 }
 
 // RepairRange re-scans the triplets with first index in [xlo, xhi) whose
@@ -266,209 +233,478 @@ func (s *ZetaScanState) CollectRange(ctx context.Context, xlo, xhi int, floor fl
 // whose values are unchanged; otherwise every dirty-incident triplet is
 // rescanned. Dirty rows always rescan in full.
 func (s *ZetaScanState) RepairRange(ctx context.Context, xlo, xhi int, dirty []int, mask []bool, rowsOnly bool, floor float64) ([]BandTriplet, error) {
-	var out []BandTriplet
-	if s.n < 3 {
-		return out, ctx.Err()
+	if s.k.n < 3 {
+		return nil, ctx.Err()
 	}
-	invT := 1 / floor
-	amgm := 2 * math.Ln2 * floor
-	zList := make([]int32, 0, s.n)
-	for x := xlo; x < xhi; x++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out, zList = s.repairRow(out, x, dirty, mask, rowsOnly, invT, amgm, zList)
-	}
-	return out, nil
+	return bandRange(ctx, s.bandKernel(floor), xlo, xhi, floor, repairRow(dirty, mask, rowsOnly))
 }
 
-// repairRow collects row x's possibly changed triplets above the floor
-// (see RepairRange) — the shared inner body of RepairRange and the
-// pool-parallel ZetaTracker.Repair. zList is scratch for the shortlist of
-// viable z, returned for reuse.
-func (s *ZetaScanState) repairRow(local []BandTriplet, x int, dirty []int, mask []bool, rowsOnly bool, invT, amgm float64, zList []int32) ([]BandTriplet, []int32) {
-	n := s.n
-	rowX := s.logs[x*n : (x+1)*n]
-	if mask[x] {
-		// Every triplet of a dirty row changed: scan all pairs.
-		for z := 0; z < n; z++ {
-			if z != x {
-				local = s.collectPair(local, rowX, x, z, invT, amgm)
+// fullMax is the exact ζ over every ordered triplet, on the pool.
+func (s *ZetaScanState) fullMax(ctx context.Context) (float64, error) {
+	k, seed, err := s.maxKernel(ctx)
+	if err != nil {
+		return 0, err
+	}
+	return poolMax(ctx, k, seed, false)
+}
+
+// poolBand runs row over every row at floor on the pool (the tracker's
+// rescan collection and repair).
+func (s *ZetaScanState) poolBand(ctx context.Context, floor float64, row func(scanRun, int)) ([]BandTriplet, error) {
+	return poolBand(ctx, s.bandKernel(floor), floor, row)
+}
+
+// zetaKernel is what the ζ pair kernel reads: the decays — a *Matrix read
+// in place, or a Space whose rows are copied (through a RowPager, Row or
+// F) and whose single entries come from F — the row extrema of ln f, and
+// the linear screen's G = f^(1/ζ_G) with its row extrema.
+type zetaKernel struct {
+	n   int
+	tol float64
+	mul float64 // 1+δ, δ = zetaScreenMargin(tol)
+	m   *Matrix // nil: read sp
+	sp  Space
+
+	lnMax, lnMin []float64 // per-row off-diagonal extrema of ln f
+	zetaG        float64   // G's ζ; +Inf without G
+	g            []float64 // G, row-major with zero diagonal; nil without G
+	gPages       *RowPager // or G's rows paged for the kernel's one run
+	gMax, gMin   []float64 // per-row off-diagonal extrema of G; zero without G
+	zero         []float64 // n zeros: G's rows without G, which screen nothing
+}
+
+// newZetaKernel solves the seed triplets of sp (read in place when it is a
+// *Matrix) on the pool, recording the row extrema of ln f on the way, and
+// returns the kernel, still without G (see buildG), and the seed value.
+func newZetaKernel(ctx context.Context, sp Space, tol float64) (*zetaKernel, float64, error) {
+	k := baseZetaKernel(sp, tol)
+	k.lnMax, k.lnMin = make([]float64, k.n), make([]float64, k.n)
+	if k.n < 3 {
+		return k, DefaultZetaFloor, ctx.Err() // no triplets to seed from
+	}
+	seed, err := k.seed(ctx, true)
+	return k, seed, err
+}
+
+// baseZetaKernel is a kernel over sp without G or row extrema.
+func baseZetaKernel(sp Space, tol float64) *zetaKernel {
+	k := &zetaKernel{n: sp.N(), tol: tol, mul: 1 + zetaScreenMargin(tol), sp: sp}
+	k.m, _ = sp.(*Matrix)
+	k.zero = make([]float64, k.n)
+	k.dropG()
+	return k
+}
+
+// dropG switches the linear screen off.
+func (k *zetaKernel) dropG() {
+	k.g, k.gMax, k.gMin, k.zetaG = nil, k.zero, k.zero, math.Inf(1)
+}
+
+// buf returns a row buffer, or nil when rows are read in place.
+func (k *zetaKernel) buf() []float64 {
+	if k.m != nil {
+		return nil
+	}
+	return make([]float64, k.n)
+}
+
+// row returns row i of the decays: in place from a *Matrix, else copied
+// into buf through Row or F.
+func (k *zetaKernel) row(i int, buf []float64) []float64 {
+	if k.m != nil {
+		return k.m.row(i)
+	}
+	if rs, ok := k.sp.(RowSpace); ok {
+		rs.Row(i, buf)
+		return buf
+	}
+	for j := range buf {
+		buf[j] = k.sp.F(i, j)
+	}
+	return buf
+}
+
+// at returns f(i, j).
+func (k *zetaKernel) at(i, j int) float64 {
+	if k.m != nil {
+		return k.m.f[i*k.n+j]
+	}
+	return k.sp.F(i, j)
+}
+
+// buildG builds G = f^(1/ζ_G) and its row extrema in fresh buffers (ctx is
+// polled per row). An exponent of G past ±maxScreenExp would leave the
+// normal float64 range: the kernel then has no G.
+func (k *zetaKernel) buildG(ctx context.Context, zetaG float64) error {
+	n, t := k.n, 1/zetaG
+	g := make([]float64, n*n)
+	gMax, gMin := make([]float64, n), make([]float64, n)
+	var wide atomic.Bool
+	err := par.ForChunkedCtx(ctx, n, func(lo, hi int) {
+		buf := k.buf()
+		for i := lo; i < hi && ctx.Err() == nil && !wide.Load(); i++ {
+			var ok bool
+			gMax[i], gMin[i], ok = gRow(g[i*n:(i+1)*n], k.row(i, buf), i, t)
+			if !ok {
+				wide.Store(true)
 			}
 		}
-		return local, zList
+	})
+	if err != nil || wide.Load() {
+		k.dropG()
+		return err
 	}
+	k.g, k.gMax, k.gMin, k.zetaG = g, gMax, gMin, zetaG
+	return nil
+}
+
+// pageG gives a kernel for one streamed run a G at zetaG whose rows rs
+// pages through a RowPager, transformed as their tiles load, and its row
+// extrema from fMax and fMin (G is increasing in f). It reports false,
+// leaving the kernel without G, when some exponent of G could come within
+// one of ±maxScreenExp.
+func (k *zetaKernel) pageG(rs RowSpace, tileRows, maxTiles int, fMax, fMin []float64, zetaG float64) bool {
+	t := 1 / zetaG
+	gMax, gMin := make([]float64, k.n), make([]float64, k.n)
+	for i := range gMax {
+		hi, lo := t*math.Log2(fMax[i]), t*math.Log2(fMin[i])
+		if !(math.Abs(hi) < maxScreenExp-1 && math.Abs(lo) < maxScreenExp-1) {
+			return false
+		}
+		gMax[i], gMin[i] = math.Exp2(hi), math.Exp2(lo)
+	}
+	k.gPages = NewRowPager(rs, tileRows, maxTiles, func(i int, row []float64) { gRow(row, row, i, t) })
+	k.gMax, k.gMin, k.zetaG = gMax, gMin, zetaG
+	return true
+}
+
+// gEntry returns f^t as math.Exp2(t·math.Log2 f), and false when the
+// exponent lies past ±maxScreenExp.
+func gEntry(f, t float64) (float64, bool) {
+	y := t * math.Log2(f)
+	if !(math.Abs(y) <= maxScreenExp) {
+		return 1, false
+	}
+	return math.Exp2(y), true
+}
+
+// gRow fills out with G's row i from the decay row f at exponent t,
+// returns the row's off-diagonal extrema and reports whether every
+// exponent stayed in range.
+func gRow(out, f []float64, i int, t float64) (hi, lo float64, ok bool) {
+	hi, lo, ok = math.Inf(-1), math.Inf(1), true
+	for j, v := range f {
+		if j == i {
+			out[j] = 0
+			continue
+		}
+		g, in := gEntry(v, t)
+		out[j], ok = g, ok && in
+		if g > hi {
+			hi = g
+		}
+		if g < lo {
+			lo = g
+		}
+	}
+	return hi, lo, ok
+}
+
+// seed returns seedRows over every row, on the pool.
+func (k *zetaKernel) seed(ctx context.Context, ext bool) (float64, error) {
+	best := newSharedMax(DefaultZetaFloor)
+	err := par.ForChunkedCtx(ctx, k.n, func(lo, hi int) { best.raise(k.seedRows(lo, hi, ext)) })
+	return best.load(), err
+}
+
+// seedRows returns the largest solved ζ over two real triplets per row x
+// in [lo, hi), and at least DefaultZetaFloor: a value the scan of those
+// rows attains, so a max run over them can start at it. The first triplet
+// pairs x with its farthest node y (largest f(x,y)) and the relay z that
+// minimizes max(f(x,z), f(y,z)); the second pairs x with its nearest node
+// z (smallest f(x,z)) and the y that maximizes f(x,y)/max(f(x,z), f(z,y)).
+// O((hi−lo)·n) work over contiguous rows. With ext it also records the
+// rows' ln f extrema.
+func (k *zetaKernel) seedRows(lo, hi int, ext bool) float64 {
+	bufX, bufY, bufZ := k.buf(), k.buf(), k.buf()
+	solve := func(x, y, z int) float64 {
+		return zetaTriplet(math.Log(k.at(x, y)), math.Log(k.at(x, z)), math.Log(k.at(z, y)), k.tol)
+	}
+	best := DefaultZetaFloor
+	for x := lo; x < hi; x++ {
+		fX := k.row(x, bufX)
+		far, near := farNear(fX, x)
+		if ext {
+			k.lnMax[x], k.lnMin[x] = math.Log(fX[far]), math.Log(fX[near])
+		}
+		// One pass picks the relay for the farthest pair, chosen on
+		// f(y,z) (equal to f(z,y) on symmetric spaces, and a contiguous
+		// row either way), and the target for the nearest relay, which
+		// maximizes f(x,y)/max(f(x,z), f(z,y)) without dividing.
+		fY, fZ := k.row(far, bufY), k.row(near, bufZ)
+		fxz := fX[near]
+		relay, worst := -1, math.Inf(1)
+		target, num, den := -1, 0.0, 1.0
+		for j, v := range fX {
+			if j == x {
+				continue
+			}
+			if w := max(v, fY[j]); w < worst && j != far {
+				relay, worst = j, w
+			}
+			if w := max(fxz, fZ[j]); v*den > num*w && j != near {
+				target, num, den = j, v, w
+			}
+		}
+		best = max(best, solve(x, far, relay), solve(x, target, near))
+	}
+	return best
+}
+
+// newRun starts a ζ run at bound, reading rows from pager when one is set.
+func (k *zetaKernel) newRun(bound float64, collect bool, pager *RowPager) scanRun {
+	r := &zetaRun{zetaKernel: k, collect: collect, pager: pager}
+	if pager != nil {
+		r.pin = make([]float64, k.n)
+	}
+	if k.gPages != nil {
+		r.gPin = make([]float64, k.n)
+	}
+	r.setBound(bound)
+	return r
+}
+
+func (k *zetaKernel) size() int { return k.n }
+
+// zetaRun is one run of the ζ pair kernel: it keeps the triplets whose
+// solved ζ exceeds bound.
+type zetaRun struct {
+	*zetaKernel
+	collect bool // band mode: the bound is fixed and kept triplets go to band
+	band    []BandTriplet
+	bound   float64
+	t       float64   // (1+δ)/bound, the exp screen's exponent
+	gmul    float64   // 1+δ while ζ_G ≤ bound; +Inf makes the linear screen skip nothing
+	pager   *RowPager // streamed rows; pin and gPin hold row x across z-row faults
+	pin     []float64
+	gPin    []float64
+
+	x      int
+	fX, gX []float64 // row x of f (nil: entries through F) and of G
+}
+
+func (r *zetaRun) setBound(b float64) {
+	r.bound, r.t, r.gmul = b, r.mul/b, math.Inf(1)
+	if r.zetaG <= b {
+		r.gmul = r.mul
+	}
+}
+
+func (r *zetaRun) raise(v float64) {
+	if v > r.bound {
+		r.setBound(v)
+	}
+}
+
+func (r *zetaRun) result() (float64, []BandTriplet) { return r.bound, r.band }
+
+// rowOf returns row i of f: in place, from the pager (pinned: copied into
+// pin), or nil when entries come through F.
+func (r *zetaRun) rowOf(i int, pin bool) []float64 {
+	switch {
+	case r.m != nil:
+		return r.m.row(i)
+	case r.pager == nil:
+		return nil
+	case pin:
+		copy(r.pin, r.pager.Row(i))
+		return r.pin
+	}
+	return r.pager.Row(i)
+}
+
+// gRowOf returns row i of G — in place, or paged (pinned: copied into
+// gPin) — and zeros without G.
+func (r *zetaRun) gRowOf(i int, pin bool) []float64 {
+	switch {
+	case r.g != nil:
+		return r.g[i*r.n : (i+1)*r.n]
+	case r.gPages == nil:
+		return r.zero
+	case pin:
+		copy(r.gPin, r.gPages.Row(i))
+		return r.gPin
+	}
+	return r.gPages.Row(i)
+}
+
+// f returns f(i, j) from row i when it is held, else through F.
+func (r *zetaRun) f(row []float64, i, j int) float64 {
+	if row != nil {
+		return row[j]
+	}
+	return r.sp.F(i, j)
+}
+
+func (r *zetaRun) beginRow(x int) {
+	r.x, r.fX, r.gX = x, r.rowOf(x, true), r.gRowOf(x, true)
+}
+
+// keeps reports whether the pair (x, z), x the current row, survives the
+// linear pair prune. hiG bounds G[x,y] from above over the pair's y.
+func (r *zetaRun) keeps(z int, hiG float64) bool {
+	return !(hiG*r.gmul <= r.gX[z]+r.gMin[z])
+}
+
+// pair runs the ζ pair kernel on a pair (x, z) that keeps survived, x the
+// current row: it solves every triplet (x, y, z) — y ≥ yStart, or y in ys
+// when ys is set — that no screen discharges, and keeps those whose ζ
+// exceeds the bound. hiLn bounds ln f(x,y) over those y from above.
+//
+// Every screen skips a triplet only when its solved ζ lies below the
+// bound. The linear screen, G[x,y]·(1+δ) ≤ G[x,z] + G[z,y], is sound while
+// ζ_G ≤ bound (see ZetaTolCtx); the exp screen tests the inequality at
+// ζ = bound/(1+δ), where a satisfied triplet's true ζ is at most that and
+// its solved value, within the solver's relative error tol < δ, below the
+// bound; and a ≤ max(b, c) solves to the floor. The two pair prunes (keeps
+// and the first test here) apply the linear and the exp screen to the
+// strongest triplet the pair can field — the largest G[x,y] and f(x,y)
+// against the smallest G[z,y] and f(z,y) — which, if it is skipped, takes
+// every y with it.
+func (r *zetaRun) pair(z, yStart int, ys []int, hiLn float64) {
+	x, gX := r.x, r.gX
+	gxz := gX[z]
+	b := math.Log(r.f(r.fX, x, z)) // ln f(x,z)
+	if math.Exp((b-hiLn)*r.t)+math.Exp((r.lnMin[z]-hiLn)*r.t) >= 1 {
+		return
+	}
+	fZ, gZ := r.rowOf(z, false), r.gRowOf(z, false)
+	if ys != nil {
+		for _, y := range ys {
+			if !(gX[y]*r.gmul <= gxz+gZ[y]) {
+				r.solve(y, z, b, fZ)
+			}
+		}
+		return
+	}
+	// A raised bound can only switch the linear screen on, so the copy of
+	// gmul stays sound for the whole loop. The linear screen comes first:
+	// it rejects nearly every triplet, so its branch predicts well.
+	mul, gXs := r.gmul, gX[yStart:r.n]
+	gZs := gZ[yStart:r.n][:len(gXs)]
+	for i, g := range gXs {
+		if g*mul <= gxz+gZs[i] {
+			continue
+		}
+		if y := yStart + i; y != x && y != z {
+			r.solve(y, z, b, fZ)
+		}
+	}
+}
+
+// solve keeps the triplet (x, y, z), b = ln f(x,z), when its solved ζ
+// exceeds the bound (see pair for the tests that skip it).
+func (r *zetaRun) solve(y, z int, b float64, fZ []float64) {
+	a := math.Log(r.f(r.fX, r.x, y)) // ln f(x,y)
+	if a <= b {
+		return
+	}
+	c := math.Log(r.f(fZ, z, y)) // ln f(z,y)
+	if a <= c || math.Exp((b-a)*r.t)+math.Exp((c-a)*r.t) >= 1 {
+		return
+	}
+	switch zt := zetaTriplet(a, b, c, r.tol); {
+	case zt <= r.bound:
+	case r.collect:
+		r.band = append(r.band, BandTriplet{zt, int32(r.x), int32(y), int32(z)})
+	default:
+		r.setBound(zt)
+	}
+}
+
+// maxRow runs the pairs (x, z) for z in [lo, hi); y > x only when sym.
+func (r *zetaRun) maxRow(x, lo, hi int, sym bool) {
+	r.beginRow(x)
+	yStart := 0
+	if sym {
+		yStart = x + 1 // (x,y) and (y,x) triplets coincide
+	}
+	hiG, hiLn := r.gMax[x], r.lnMax[x]
+	for z := lo; z < hi; z++ {
+		if z != x && r.keeps(z, hiG) {
+			r.pair(z, yStart, nil, hiLn)
+		}
+	}
+}
+
+func (r *zetaRun) collectRow(x int) { r.maxRow(x, 0, r.n, false) }
+
+// repairRow collects row x's triplets whose value the mutation of the
+// dirty nodes may have changed (see RepairRange).
+func (r *zetaRun) repairRow(x int, dirty []int, mask []bool, rowsOnly bool) {
+	if mask[x] {
+		r.collectRow(x) // every triplet of a dirty row changed
+		return
+	}
+	r.beginRow(x)
 	for _, z := range dirty {
-		if z != x {
-			local = s.collectPair(local, rowX, x, z, invT, amgm)
+		if r.keeps(z, r.gMax[x]) {
+			r.pair(z, 0, nil, r.lnMax[x])
 		}
 	}
 	if rowsOnly {
-		return local, zList // rows x and z ∉ M are untouched
+		return // rows x and z ∉ M are untouched
 	}
-	// The (x, y ∈ M, z ∉ M) slice. The AM-GM necessary condition
-	// b + c + amgm < 2a with c ≥ colMin[y] bounds b from above, so one
-	// pass over the row shortlists the viable z — typically a small
-	// fraction of n — before the per-y loops run.
-	aMax := math.Inf(-1)
-	cMinD := math.Inf(1)
-	live := 0
+	// The (x, y ∈ M, z ∉ M) slice, pruned on the dirty y's extrema.
+	hiG, hiF := 0.0, 0.0
 	for _, y := range dirty {
-		if y == x {
-			continue
-		}
-		a := rowX[y]
-		if s.rowMin[x]+s.colMin[y]+amgm >= 2*a {
-			continue // pair (x, y) cannot reach the floor
-		}
-		live++
-		if a > aMax {
-			aMax = a
-		}
-		if s.colMin[y] < cMinD {
-			cMinD = s.colMin[y]
+		hiG, hiF = max(hiG, r.gX[y]), max(hiF, r.f(r.fX, x, y))
+	}
+	hiLn := math.Log(hiF)
+	for z := 0; z < r.n; z++ {
+		if z != x && !mask[z] && r.keeps(z, hiG) {
+			r.pair(z, 0, dirty, hiLn)
 		}
 	}
-	if live == 0 {
-		return local, zList
-	}
-	bLim := 2*aMax - amgm - cMinD
-	zList = zList[:0]
-	for z := 0; z < n; z++ {
-		if z != x && !mask[z] && rowX[z] < bLim {
-			zList = append(zList, int32(z)) // dirty z covered above
-		}
-	}
-	for _, y := range dirty {
-		if y == x {
-			continue
-		}
-		a := rowX[y]
-		if s.rowMin[x]+s.colMin[y]+amgm >= 2*a {
-			continue
-		}
-		bLimY := 2*a - amgm - s.colMin[y]
-		for _, z32 := range zList {
-			z := int(z32)
-			if z == y {
-				continue
-			}
-			b := rowX[z]
-			if b >= bLimY || a <= b {
-				continue
-			}
-			c := s.logs[z*n+y]
-			if a <= c || b+c+amgm >= 2*a {
-				continue
-			}
-			if math.Exp((b-a)*invT)+math.Exp((c-a)*invT) >= 1 {
-				continue
-			}
-			if zt := zetaTriplet(a, b, c, s.tol); zt > 1/invT {
-				local = append(local, BandTriplet{zt, int32(x), int32(y), int32(z)})
-			}
-		}
-	}
-	return local, zList
 }
 
-// collectPair scans the (x, ·, z) pair — all y against fixed x, z —
-// appending every triplet above the floor 1/invT. The whole-pair prune
-// discharges the pair without entering the loop whenever even its
-// strongest triplet (largest a, smallest c) stays within the floor;
-// surviving pairs stop early on the a-only AM-GM necessary condition.
-func (s *ZetaScanState) collectPair(local []BandTriplet, rowX []float64, x, z int, invT, amgm float64) []BandTriplet {
-	maxX := s.rowMax[x]
-	b := rowX[z]
-	if b+s.rowMin[z]+amgm >= 2*maxX {
-		return local
-	}
-	if math.Exp((b-maxX)*invT)+math.Exp((s.rowMin[z]-maxX)*invT) >= 1 {
-		return local
-	}
-	n := s.n
-	rowZ := s.logs[z*n : (z+1)*n]
-	tau := 1 / invT
-	aMin := (b + s.rowMin[z] + amgm) / 2
-	for y := 0; y < n; y++ {
-		a := rowX[y]
-		if a <= aMin {
-			continue
-		}
-		if y == x || y == z {
-			continue
-		}
-		c := rowZ[y]
-		if a <= c || b+c+amgm >= 2*a {
-			continue
-		}
-		if math.Exp((b-a)*invT)+math.Exp((c-a)*invT) >= 1 {
-			continue
-		}
-		if zt := zetaTriplet(a, b, c, s.tol); zt > tau {
-			local = append(local, BandTriplet{zt, int32(x), int32(y), int32(z)})
-		}
-	}
-	return local
-}
-
-// VarphiScanState is the ϕ scan replica: the dense matrix plus its decay
-// extrema, with the same serial row-range partial scans as ZetaScanState.
+// VarphiScanState is the ϕ scan replica: the row extrema the ϕ pair kernel
+// reads beside the Matrix, with the same range scans as ZetaScanState.
 type VarphiScanState struct {
-	m *Matrix
-	n int
-
-	rowMaxF, rowMinF, colMinF []float64 // off-diagonal extrema of f
+	k varphiKernel
 }
 
-// NewVarphiScanState derives the pruning extrema of m for ϕ range scans.
+// NewVarphiScanState derives the row extrema of m for ϕ range scans.
 func NewVarphiScanState(m *Matrix) *VarphiScanState {
 	n := m.N()
-	s := &VarphiScanState{m: m, n: n}
-	if n < 3 {
-		return s
-	}
-	s.rowMaxF, s.rowMinF = rowExtrema(m.f, n)
-	s.colMinF = colMinima(m.f, n)
+	s := &VarphiScanState{k: varphiKernel{n: n, m: m, fMax: make([]float64, n), fMin: make([]float64, n)}}
+	par.ForChunked(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s.k.fMax[i], s.k.fMin[i] = offDiagExtrema(m.row(i), i)
+		}
+	})
 	return s
 }
 
 // N returns the number of nodes scanned.
-func (s *VarphiScanState) N() int { return s.n }
+func (s *VarphiScanState) N() int { return s.k.n }
 
 // PatchRows refreshes the extrema after the matrix mutated on the dirty
 // nodes' rows (and columns, unless rowsOnly). The matrix itself is read
 // live, so only the derived bounds need repair.
 func (s *VarphiScanState) PatchRows(dirty []int, rowsOnly bool) {
-	if s.n < 3 || len(dirty) == 0 {
+	k := &s.k
+	if k.n < 3 || len(dirty) == 0 {
 		return
 	}
-	if rowsOnly {
-		for _, r := range dirty {
-			s.refreshRowF(r)
+	mask := dirtyNodeMask(k.n, dirty)
+	par.ForChunked(k.n, func(lo, hi int) {
+		for x := lo; x < hi; x++ {
+			if !rowsOnly || mask[x] { // a column rewrite reaches every row
+				k.fMax[x], k.fMin[x] = offDiagExtrema(k.m.row(x), x)
+			}
 		}
-	} else {
-		s.rowMaxF, s.rowMinF = rowExtrema(s.m.f, s.n)
-	}
-	refreshColMinima(s.colMinF, s.m.f, s.n, dirty)
-}
-
-// refreshRowF re-derives one row's decay extrema after the row mutated.
-func (s *VarphiScanState) refreshRowF(x int) {
-	row := s.m.row(x)
-	mx, mn := math.Inf(-1), math.Inf(1)
-	for j, v := range row {
-		if j == x {
-			continue
-		}
-		if v > mx {
-			mx = v
-		}
-		if v < mn {
-			mn = v
-		}
-	}
-	s.rowMaxF[x], s.rowMinF[x] = mx, mn
+	})
 }
 
 // MaxRange returns the exact ϕ maximum over triplets with first index in
@@ -476,155 +712,356 @@ func (s *VarphiScanState) refreshRowF(x int) {
 // ZetaScanState.MaxRange). sym halves the scan on exactly symmetric spaces
 // (z starts at x+1, as in Varphi).
 func (s *VarphiScanState) MaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
-	best := varphiFloorValue
-	if s.n < 3 || xlo >= xhi {
-		return best, ctx.Err()
+	if s.k.n < 3 || xlo >= xhi {
+		return VarphiFloor, ctx.Err()
 	}
-	n := s.n
-	tile := tripletTile(n)
-	if tile <= 0 {
-		tile = n
-	}
-	for ytile := 0; ytile < n; ytile += tile {
-		yhi := ytile + tile
-		if yhi > n {
-			yhi = n
-		}
-		for x := xlo; x < xhi; x++ {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			rowX := s.m.row(x)
-			maxX := s.rowMaxF[x]
-			zStart := 0
-			if sym {
-				zStart = x + 1
-			}
-			for y := ytile; y < yhi; y++ {
-				if y == x {
-					continue
-				}
-				fxy := rowX[y]
-				if maxX <= best*(fxy+s.rowMinF[y]) {
-					continue
-				}
-				rowY := s.m.row(y)
-				for z := zStart; z < n; z++ {
-					if z == x || z == y {
-						continue
-					}
-					if r := rowX[z] / (fxy + rowY[z]); r > best {
-						best = r
-					}
-				}
-			}
-		}
-	}
-	return best, nil
+	return maxRange(ctx, &s.k, xlo, xhi, sym, VarphiFloor, nil)
 }
 
 // CollectRange returns every triplet with first index in [xlo, xhi) whose
 // ϕ ratio exceeds floor (see ZetaScanState.CollectRange).
 func (s *VarphiScanState) CollectRange(ctx context.Context, xlo, xhi int, floor float64) ([]BandTriplet, error) {
-	var out []BandTriplet
-	if s.n < 3 {
-		return out, ctx.Err()
+	if s.k.n < 3 {
+		return nil, ctx.Err()
 	}
-	for x := xlo; x < xhi; x++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rowX := s.m.row(x)
-		for y := 0; y < s.n; y++ {
-			if y != x {
-				out = s.collectPair(out, rowX, x, y, floor)
-			}
-		}
-	}
-	return out, nil
+	return bandRange(ctx, &s.k, xlo, xhi, floor, collectRow)
 }
 
 // RepairRange re-scans the ϕ triplets with first index in [xlo, xhi)
 // whose value the mutation may have changed, returning those above floor
 // (see ZetaScanState.RepairRange). A ϕ triplet (x, y, z) reads rows x and
 // y only, so under rowsOnly a clean row x rescans just its dirty-y pairs
-// and skips the strided (x, y ∉ M, z ∈ M) slice.
+// and skips the (x, y ∉ M, z ∈ M) slice.
 func (s *VarphiScanState) RepairRange(ctx context.Context, xlo, xhi int, dirty []int, mask []bool, rowsOnly bool, floor float64) ([]BandTriplet, error) {
-	var out []BandTriplet
-	if s.n < 3 {
-		return out, ctx.Err()
+	if s.k.n < 3 {
+		return nil, ctx.Err()
 	}
+	return bandRange(ctx, &s.k, xlo, xhi, floor, repairRow(dirty, mask, rowsOnly))
+}
+
+// fullMax is the exact ϕ over every triplet, on the pool.
+func (s *VarphiScanState) fullMax(ctx context.Context) (float64, error) {
+	return poolMax(ctx, &s.k, VarphiFloor, false)
+}
+
+// poolBand runs row over every row at floor on the pool.
+func (s *VarphiScanState) poolBand(ctx context.Context, floor float64, row func(scanRun, int)) ([]BandTriplet, error) {
+	return poolBand(ctx, &s.k, floor, row)
+}
+
+// varphiKernel is what the ϕ pair kernel reads: the decays (a *Matrix, or
+// rows through a RowPager) and their per-row off-diagonal extrema.
+type varphiKernel struct {
+	n          int
+	m          *Matrix // nil: rows from the run's pager
+	fMax, fMin []float64
+}
+
+// varphiMargin is the relative slack of ϕ's pair prune: it covers the
+// rounding of the prune's own sum and products and of every ratio it
+// discharges, a few units in the last place.
+const varphiMargin = 1 + 1e-12
+
+func (k *varphiKernel) size() int { return k.n }
+
+func (k *varphiKernel) newRun(bound float64, collect bool, pager *RowPager) scanRun {
+	r := &varphiRun{varphiKernel: k, collect: collect, bound: bound, pager: pager}
+	if pager != nil {
+		r.pin = make([]float64, k.n)
+	}
+	return r
+}
+
+// varphiRun is one run of the ϕ pair kernel: it keeps the triplets whose
+// ratio f(x,z)/(f(x,y) + f(y,z)) exceeds bound.
+type varphiRun struct {
+	*varphiKernel
+	collect bool
+	band    []BandTriplet
+	bound   float64
+	pager   *RowPager
+	pin     []float64
+
+	x  int
+	fX []float64
+}
+
+func (r *varphiRun) raise(v float64) { r.bound = max(r.bound, v) }
+
+func (r *varphiRun) result() (float64, []BandTriplet) { return r.bound, r.band }
+
+func (r *varphiRun) rowOf(i int, pin bool) []float64 {
+	switch {
+	case r.m != nil:
+		return r.m.row(i)
+	case pin:
+		copy(r.pin, r.pager.Row(i))
+		return r.pin
+	}
+	return r.pager.Row(i)
+}
+
+// keeps reports whether the pair (x, y), x the current row, survives the
+// pair prune: even hiX, an upper bound on f(x,z) over the pair's z, over
+// the smallest denominator f(x,y) + min f(y,·) must reach the bound by
+// varphiMargin.
+func (r *varphiRun) keeps(y int, hiX float64) bool {
+	return hiX*varphiMargin > r.bound*(r.fX[y]+r.fMin[y])
+}
+
+// pair runs the ϕ pair kernel on a pair (x, y) that keeps survived, x the
+// current row: it keeps every ratio f(x,z)/(f(x,y) + f(y,z)) — z ≥ zStart,
+// or z in zs when zs is set — above the bound.
+func (r *varphiRun) pair(y, zStart int, zs []int) {
+	x, fX := r.x, r.fX
+	fxy := fX[y]
+	fY := r.rowOf(y, false)
+	if zs != nil {
+		for _, z := range zs {
+			r.keep(fX[z]/(fxy+fY[z]), y, z)
+		}
+		return
+	}
+	// f(x,x) = 0 makes z = x's ratio 0, below any bound; z = y's ratio,
+	// f(x,y)/f(x,y) = 1, is dropped where it exceeds the bound.
+	bound, fXs := r.bound, fX[zStart:r.n]
+	fYs := fY[zStart:r.n][:len(fXs)]
+	for i, fxz := range fXs {
+		if v := fxz / (fxy + fYs[i]); v > bound {
+			if z := zStart + i; z != x && z != y {
+				r.keep(v, y, z)
+				bound = r.bound
+			}
+		}
+	}
+}
+
+func (r *varphiRun) keep(v float64, y, z int) {
+	switch {
+	case v <= r.bound:
+	case r.collect:
+		r.band = append(r.band, BandTriplet{v, int32(r.x), int32(y), int32(z)})
+	default:
+		r.bound = v
+	}
+}
+
+// maxRow runs the pairs (x, y) for y in [lo, hi); z > x only when sym.
+func (r *varphiRun) maxRow(x, lo, hi int, sym bool) {
+	r.x, r.fX = x, r.rowOf(x, true)
+	zStart := 0
+	if sym {
+		zStart = x + 1 // (x,·,z) and (z,·,x) ratios coincide
+	}
+	hiX := r.fMax[x]
+	for y := lo; y < hi; y++ {
+		if y != x && r.keeps(y, hiX) {
+			r.pair(y, zStart, nil)
+		}
+	}
+}
+
+func (r *varphiRun) collectRow(x int) { r.maxRow(x, 0, r.n, false) }
+
+// repairRow collects row x's ϕ triplets whose value the mutation of the
+// dirty nodes may have changed (see VarphiScanState.RepairRange).
+func (r *varphiRun) repairRow(x int, dirty []int, mask []bool, rowsOnly bool) {
+	if mask[x] {
+		r.collectRow(x)
+		return
+	}
+	r.x, r.fX = x, r.rowOf(x, true)
+	for _, y := range dirty {
+		if r.keeps(y, r.fMax[x]) {
+			r.pair(y, 0, nil)
+		}
+	}
+	if rowsOnly {
+		return // rows x and y ∉ M are untouched
+	}
+	// The (x, y ∉ M, z ∈ M) slice, pruned on the dirty z's largest f(x,z).
+	hi := 0.0
+	for _, z := range dirty {
+		hi = max(hi, r.fX[z])
+	}
+	for y := 0; y < r.n; y++ {
+		if y != x && !mask[y] && r.keeps(y, hi) {
+			r.pair(y, 0, dirty)
+		}
+	}
+}
+
+// scanKernel is a ζ or ϕ kernel as the scan loops below see it.
+type scanKernel interface {
+	size() int
+	newRun(bound float64, collect bool, pager *RowPager) scanRun
+}
+
+// scanRun is one run of a pair kernel.
+type scanRun interface {
+	maxRow(x, lo, hi int, sym bool)
+	collectRow(x int)
+	repairRow(x int, dirty []int, mask []bool, rowsOnly bool)
+	raise(v float64)
+	result() (bound float64, band []BandTriplet)
+}
+
+// collectRow is the band-collection row body.
+func collectRow(r scanRun, x int) { r.collectRow(x) }
+
+// repairRow returns the repair row body for a mutation of the dirty nodes.
+func repairRow(dirty []int, mask []bool, rowsOnly bool) func(scanRun, int) {
+	return func(r scanRun, x int) { r.repairRow(x, dirty, mask, rowsOnly) }
+}
+
+// maxRows raises r over the rows [xlo, xhi) against the partners [lo, hi).
+// shared, when set, is the running maximum of concurrent runs: adopted
+// before and raised after each row.
+func maxRows(ctx context.Context, r scanRun, xlo, xhi, lo, hi int, sym bool, shared *sharedMax) error {
+	for x := xlo; x < xhi; x++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if shared != nil {
+			r.raise(shared.load())
+		}
+		r.maxRow(x, lo, hi, sym)
+		if shared != nil {
+			v, _ := r.result()
+			shared.raise(v)
+		}
+	}
+	return nil
+}
+
+// maxRange returns the maximum of start, which the scan must attain or
+// be a floor, and the triplets with first index in [xlo, xhi) — serially,
+// blocked over the partner index as the pool scans are.
+func maxRange(ctx context.Context, k scanKernel, xlo, xhi int, sym bool, start float64, pager *RowPager) (float64, error) {
+	n := k.size()
+	r := k.newRun(start, false, pager)
+	tile := tripletTile(n)
+	if tile <= 0 {
+		tile = n
+	}
+	for lo := 0; lo < n; lo += tile {
+		if err := maxRows(ctx, r, xlo, xhi, lo, min(lo+tile, n), sym, nil); err != nil {
+			return 0, err
+		}
+	}
+	v, _ := r.result()
+	return v, nil
+}
+
+// poolMax returns the maximum of start, which the scan must attain, and
+// every triplet, over (x, partner)-tiles on the pool.
+func poolMax(ctx context.Context, k scanKernel, start float64, sym bool) (float64, error) {
+	n := k.size()
+	best := newSharedMax(start)
+	err := par.ForTilesCtx(ctx, n, tripletTile(n), func(xlo, xhi, lo, hi int) {
+		maxRows(ctx, k.newRun(best.load(), false, nil), xlo, xhi, lo, hi, sym, best)
+	})
+	if err != nil {
+		return 0, err
+	}
+	return best.load(), nil
+}
+
+// bandRange runs row over the rows [xlo, xhi) on one band run at floor and
+// returns its band. ctx is polled per row.
+func bandRange(ctx context.Context, k scanKernel, xlo, xhi int, floor float64, row func(scanRun, int)) ([]BandTriplet, error) {
+	r := k.newRun(floor, true, nil)
 	for x := xlo; x < xhi; x++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out = s.repairRow(out, x, dirty, mask, rowsOnly, floor)
+		row(r, x)
 	}
-	return out, nil
+	_, band := r.result()
+	return band, nil
 }
 
-// repairRow collects row x's possibly changed ϕ triplets above the floor
-// (see RepairRange) — the shared inner body of RepairRange and
-// VarphiTracker.Repair.
-func (s *VarphiScanState) repairRow(local []BandTriplet, x int, dirty []int, mask []bool, rowsOnly bool, tau float64) []BandTriplet {
-	n := s.n
-	rowX := s.m.row(x)
-	if mask[x] {
-		for y := 0; y < n; y++ {
-			if y != x {
-				local = s.collectPair(local, rowX, x, y, tau)
-			}
-		}
-		return local
+// poolBand is bandRange over every row, on the pool.
+func poolBand(ctx context.Context, k scanKernel, floor float64, row func(scanRun, int)) ([]BandTriplet, error) {
+	var (
+		mu   sync.Mutex
+		band []BandTriplet
+	)
+	err := par.ForChunkedCtx(ctx, k.size(), func(lo, hi int) {
+		part, _ := bandRange(ctx, k, lo, hi, floor, row)
+		mu.Lock()
+		band = append(band, part...)
+		mu.Unlock()
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, y := range dirty {
-		if y != x {
-			local = s.collectPair(local, rowX, x, y, tau)
-		}
-	}
-	if rowsOnly {
-		return local // rows x and y ∉ M are untouched
-	}
-	for _, z := range dirty {
-		if z == x {
-			continue
-		}
-		fxz := rowX[z]
-		// Whole-pair prune for fixed (x, z): the largest possible ratio
-		// pairs fxz with the smallest f(x,y) and f(y,z).
-		if fxz <= tau*(s.rowMinF[x]+s.colMinF[z]) {
-			continue
-		}
-		for y := 0; y < n; y++ {
-			if y == x || y == z || mask[y] {
-				continue // dirty y already covered above
-			}
-			if r := fxz / (rowX[y] + s.m.f[y*n+z]); r > tau {
-				local = append(local, BandTriplet{r, int32(x), int32(y), int32(z)})
-			}
-		}
-	}
-	return local
+	return band, nil
 }
 
-// collectPair scans the (x, y, ·) pair — all z against fixed x, y —
-// appending every ratio above the floor to local.
-func (s *VarphiScanState) collectPair(local []BandTriplet, rowX []float64, x, y int, tau float64) []BandTriplet {
-	fxy := rowX[y]
-	// Whole-pair prune: even the largest numerator over the smallest
-	// denominator cannot reach the floor.
-	if s.rowMaxF[x] <= tau*(fxy+s.rowMinF[y]) {
-		return local
+// sharedMax is a running float64 maximum shared by concurrent runs.
+type sharedMax struct{ bits atomic.Uint64 }
+
+func newSharedMax(v float64) *sharedMax {
+	s := &sharedMax{}
+	s.bits.Store(math.Float64bits(v))
+	return s
+}
+
+func (s *sharedMax) load() float64 { return math.Float64frombits(s.bits.Load()) }
+
+// raise lifts the maximum to v if v is larger.
+func (s *sharedMax) raise(v float64) {
+	for {
+		old := s.bits.Load()
+		if math.Float64frombits(old) >= v || s.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
 	}
-	n := s.n
-	rowY := s.m.row(y)
-	for z := 0; z < n; z++ {
-		if z == x || z == y {
+}
+
+// offDiagExtrema returns the largest and smallest entry of row i off the
+// diagonal.
+func offDiagExtrema(row []float64, i int) (hi, lo float64) {
+	hi, lo = math.Inf(-1), math.Inf(1)
+	for j, v := range row {
+		if j == i {
 			continue
 		}
-		if r := rowX[z] / (fxy + rowY[z]); r > tau {
-			local = append(local, BandTriplet{r, int32(x), int32(y), int32(z)})
+		if v > hi {
+			hi = v
+		}
+		if v < lo {
+			lo = v
 		}
 	}
-	return local
+	return hi, lo
+}
+
+// farNear returns the columns of row i's largest and smallest entry off
+// the diagonal (the first of any ties).
+func farNear(row []float64, i int) (far, near int) {
+	far, near = -1, -1
+	for j, v := range row {
+		if j == i {
+			continue
+		}
+		if far < 0 || v > row[far] {
+			far = j
+		}
+		if near < 0 || v < row[near] {
+			near = j
+		}
+	}
+	return far, near
+}
+
+// dirtyNodeMask builds the dirty-node membership mask the repair scans
+// consume.
+func dirtyNodeMask(n int, dirty []int) []bool {
+	mask := make([]bool, n)
+	for _, r := range dirty {
+		mask[r] = true
+	}
+	return mask
 }

@@ -219,12 +219,20 @@ func (m *Matrix) row(i int) []float64 {
 
 // Symmetric reports exact (bitwise) symmetry of the stored matrix — the
 // core.Symmetric marker. The O(n²) check is free next to the O(n³) triplet
-// scans it unlocks, and rechecking on each call keeps Set safe.
+// scans it unlocks, and rechecking on each call keeps Set safe. It compares
+// the matrix to its transpose in square blocks, so the column side of a
+// block stays in cache instead of striding through n rows per entry.
 func (m *Matrix) Symmetric() bool {
-	for i := 0; i < m.n; i++ {
-		for j := i + 1; j < m.n; j++ {
-			if m.f[i*m.n+j] != m.f[j*m.n+i] {
-				return false
+	const block = 32
+	n := m.n
+	for i0 := 0; i0 < n; i0 += block {
+		for j0 := i0; j0 < n; j0 += block {
+			for i := i0; i < min(i0+block, n); i++ {
+				for j := max(j0, i+1); j < min(j0+block, n); j++ {
+					if m.f[i*n+j] != m.f[j*n+i] {
+						return false
+					}
+				}
 			}
 		}
 	}

@@ -8,19 +8,15 @@ import (
 	"decaynet/internal/par"
 )
 
-// Out-of-core forms of the exact triplet kernels. A StreamScan is the
+// Out-of-core forms of the exact triplet scans. A StreamScan is the
 // row-streamed analogue of ZetaScanState/VarphiScanState: instead of
-// materializing the n² (log-)decay matrix it holds only the O(n) pruning
-// extrema and pages rows through a bounded tile cache (RowPager) while the
-// range scans run. Every triplet value still comes from the same
-// deterministic per-triplet functions evaluated on the same float64 decays,
-// and the scan visits triplets in the same order with the same pruning
-// bounds as the dense range kernels, so per-range maxima merge bit-identically
-// with ZetaScanState.MaxRange / VarphiScanState.MaxRange — and therefore
-// with the unsharded ZetaTol / Varphi scans. This is what lets
-// internal/shard row-range jobs run on spaces that never fit dense float64
-// (see internal/tier): a worker's working set is maxTiles·tileRows rows,
-// not n².
+// holding n² values it keeps only the O(n) row extrema and pages rows
+// through a bounded tile cache (RowPager) while the range scans run the
+// same ζ and ϕ pair kernels (see shardscan.go). Every kept value is the
+// per-pair oracle's, so per-range maxima max-merge into exactly the
+// unsharded ZetaTol / Varphi results. This is what lets internal/shard
+// row-range jobs run on spaces that never fit dense float64 (see
+// internal/tier): a worker's working set is maxTiles·tileRows rows, not n².
 
 // Default paging geometry for streamed scans: tiles of 256 rows, at most 4
 // resident per scan. A ζ range scan touches one x-band and one z-tile at a
@@ -32,8 +28,9 @@ const (
 )
 
 // RowPager pages rows of a RowSpace through a fixed-size LRU cache of row
-// tiles, applying an optional in-place transform (ln for the ζ kernels) to
-// each row as it is loaded. It is a single-goroutine helper: the slices
+// tiles, applying an optional in-place transform to each row as it is
+// loaded (the streamed ζ scan pages G this way). It is a single-goroutine
+// helper: the slices
 // returned by Row alias tile buffers that a later Row call may evict and
 // reuse, so callers copy any row they hold across a subsequent fetch (the
 // streamed kernels copy their x-row and consume z/y-rows immediately).
@@ -42,7 +39,7 @@ type RowPager struct {
 	n         int
 	tileRows  int
 	maxTiles  int
-	transform func(row []float64)
+	transform func(i int, row []float64)
 
 	tiles map[int]*pagerTile
 	tick  int64
@@ -57,7 +54,7 @@ type pagerTile struct {
 // NewRowPager builds a pager over rs with the given tile geometry.
 // Non-positive tileRows / maxTiles select the defaults; maxTiles is clamped
 // to ≥ 2 so an x-band and a z-tile can be resident simultaneously.
-func NewRowPager(rs RowSpace, tileRows, maxTiles int, transform func(row []float64)) *RowPager {
+func NewRowPager(rs RowSpace, tileRows, maxTiles int, transform func(i int, row []float64)) *RowPager {
 	if tileRows <= 0 {
 		tileRows = DefaultStreamTileRows
 	}
@@ -116,7 +113,7 @@ func (p *RowPager) load(t int) *pagerTile {
 		row := pt.rows[(r-lo)*p.n : (r-lo+1)*p.n]
 		p.rs.Row(r, row)
 		if p.transform != nil {
-			p.transform(row)
+			p.transform(r, row)
 		}
 	}
 	p.loads++
@@ -131,14 +128,6 @@ func (p *RowPager) Loads() int64 { return p.loads }
 // HeldBytes returns the bytes currently pinned in resident tiles.
 func (p *RowPager) HeldBytes() int64 {
 	return int64(len(p.tiles)) * int64(p.tileRows) * int64(p.n) * 8
-}
-
-// lnRow maps a decay row to its logarithms in place (the ζ kernels work on
-// ln f; the diagonal becomes ln 0 = -Inf and is skipped like everywhere).
-func lnRow(row []float64) {
-	for j, v := range row {
-		row[j] = math.Log(v)
-	}
 }
 
 // StreamScan is the streamed scan replica over a RowSpace: the O(n) pruning
@@ -156,50 +145,45 @@ type StreamScan struct {
 
 	logMax, logMin []float64 // off-diagonal extrema of ln f per row
 	fMax, fMin     []float64 // off-diagonal extrema of f per row
+	seed           float64   // a ζ value rs attains, where ζ range scans start
 }
 
 // NewStreamScan derives the pruning extrema of rs for streamed ζ (at
-// bisection tolerance tol) and ϕ range scans. Non-positive tileRows /
-// maxTiles select the package defaults.
+// bisection tolerance tol) and ϕ range scans, and the seed: the largest
+// solved ζ of the triplets (x, farthest node, nearest node), one F call
+// per row. Non-positive tileRows / maxTiles select the package defaults.
 func NewStreamScan(ctx context.Context, rs RowSpace, tol float64, tileRows, maxTiles int) (*StreamScan, error) {
 	n := rs.N()
-	s := &StreamScan{rs: rs, n: n, tol: tol, tileRows: tileRows, maxTiles: maxTiles}
+	s := &StreamScan{rs: rs, n: n, tol: tol, tileRows: tileRows, maxTiles: maxTiles, seed: DefaultZetaFloor}
 	if n < 3 {
 		return s, ctx.Err()
 	}
+	seed := newSharedMax(DefaultZetaFloor)
 	s.logMax = make([]float64, n)
 	s.logMin = make([]float64, n)
 	s.fMax = make([]float64, n)
 	s.fMin = make([]float64, n)
 	err := par.ForChunkedCtx(ctx, n, func(lo, hi int) {
 		buf := make([]float64, n)
+		best := DefaultZetaFloor
 		for i := lo; i < hi; i++ {
 			if ctx.Err() != nil {
 				return
 			}
 			rs.Row(i, buf)
-			mx, mn := math.Inf(-1), math.Inf(1)
-			for j, v := range buf {
-				if j == i {
-					continue
-				}
-				if v > mx {
-					mx = v
-				}
-				if v < mn {
-					mn = v
-				}
-			}
-			s.fMax[i], s.fMin[i] = mx, mn
-			// ln is strictly increasing on the positive decays, so the log
-			// extrema are the logs of the decay extrema — bit-identical to
-			// rowExtrema over logMatrix.
-			s.logMax[i], s.logMin[i] = math.Log(mx), math.Log(mn)
+			far, near := farNear(buf, i)
+			s.fMax[i], s.fMin[i] = buf[far], buf[near]
+			// ln is increasing on the positive decays, so the log
+			// extrema are the logs of the decay extrema.
+			s.logMax[i], s.logMin[i] = math.Log(s.fMax[i]), math.Log(s.fMin[i])
+			best = max(best, zetaTriplet(s.logMax[i], s.logMin[i], math.Log(rs.F(near, far)), tol))
 		}
+		seed.raise(best)
 	})
 	if err != nil {
 		return nil, err
 	}
+	s.seed = seed.load()
 	return s, nil
 }
 
@@ -207,7 +191,8 @@ func NewStreamScan(ctx context.Context, rs RowSpace, tol float64, tileRows, maxT
 func (s *StreamScan) N() int { return s.n }
 
 // StreamExtrema is the serializable O(n) pruning state of a StreamScan:
-// the per-row off-diagonal extrema of the decay and log-decay matrices.
+// the per-row off-diagonal extrema of the decay and log-decay matrices,
+// and the seed ζ range scans start at (a value the space attains).
 // Shipping it lets a remote replica of an immutable streamed session skip
 // the O(n²) extrema derivation pass — NewStreamScanFrom rebuilds an
 // equivalent scan from it, bit-identically, because range scans read only
@@ -218,12 +203,13 @@ type StreamExtrema struct {
 	LogMin []float64
 	FMax   []float64
 	FMin   []float64
+	Seed   float64
 }
 
 // Extrema returns the scan's pruning extrema. The slices are the scan's
 // own (immutable by contract); callers that mutate must copy.
 func (s *StreamScan) Extrema() StreamExtrema {
-	return StreamExtrema{LogMax: s.logMax, LogMin: s.logMin, FMax: s.fMax, FMin: s.fMin}
+	return StreamExtrema{LogMax: s.logMax, LogMin: s.logMin, FMax: s.fMax, FMin: s.fMin, Seed: s.seed}
 }
 
 // Geometry returns the scan's configured paging geometry as given (zero
@@ -239,7 +225,7 @@ func (s *StreamScan) Geometry() (tileRows, maxTiles int) {
 // scans over the result are then bit-identical to scans over the original.
 func NewStreamScanFrom(rs RowSpace, tol float64, tileRows, maxTiles int, ex StreamExtrema) (*StreamScan, error) {
 	n := rs.N()
-	s := &StreamScan{rs: rs, n: n, tol: tol, tileRows: tileRows, maxTiles: maxTiles}
+	s := &StreamScan{rs: rs, n: n, tol: tol, tileRows: tileRows, maxTiles: maxTiles, seed: max(ex.Seed, DefaultZetaFloor)}
 	if n < 3 {
 		return s, nil
 	}
@@ -251,133 +237,35 @@ func NewStreamScanFrom(rs RowSpace, tol float64, tileRows, maxTiles int, ex Stre
 	return s, nil
 }
 
-// ZetaMaxRange returns the exact ζ maximum over the ordered triplets whose
-// first index lies in [xlo, xhi), streaming log-decay rows through a
-// private pager instead of reading a materialized log matrix. The scan
-// mirrors ZetaScanState.MaxRange statement for statement — same triplet
-// order, same pruning bounds, same zetaTriplet evaluations — so its result
-// is bit-identical and per-range maxima max-merge exactly as the dense
-// shard scans do. sym certifies exact decay symmetry (y starts at x+1).
+// ZetaMaxRange returns the larger of the scan's seed and the exact ζ
+// maximum over the ordered triplets whose first index lies in [xlo, xhi)
+// (see ZetaScanState.MaxRange). It runs the ζ pair kernel on G's rows at ζ_G = the start
+// value, paged through a private RowPager and transformed as their tiles
+// load, and reads the decays of the few surviving triplets through F;
+// when G's exponents leave the float64 range it pages the decay rows
+// instead and runs without the linear screen. The screens and the solver
+// are the dense scans', so the max-merge over a row partition has
+// ZetaPerPair's bits. sym certifies exact decay symmetry (y starts at x+1).
 func (s *StreamScan) ZetaMaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
-	best := DefaultZetaFloor
 	if s.n < 3 || xlo >= xhi {
-		return best, ctx.Err()
+		return DefaultZetaFloor, ctx.Err()
 	}
-	n := s.n
-	invT := 1 / best
-	amgm := 2 * math.Ln2 * best
-	tile := tripletTile(n)
-	if tile <= 0 {
-		tile = n
+	k := baseZetaKernel(s.rs, s.tol)
+	k.lnMax, k.lnMin = s.logMax, s.logMin
+	if k.pageG(s.rs, s.tileRows, s.maxTiles, s.fMax, s.fMin, s.seed) {
+		return maxRange(ctx, k, xlo, xhi, sym, s.seed, nil)
 	}
-	pager := NewRowPager(s.rs, s.tileRows, s.maxTiles, lnRow)
-	rowX := make([]float64, n) // pinned copy: z-row faults may evict x's tile
-	for ztile := 0; ztile < n; ztile += tile {
-		zhi := ztile + tile
-		if zhi > n {
-			zhi = n
-		}
-		for x := xlo; x < xhi; x++ {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			copy(rowX, pager.Row(x))
-			maxX := s.logMax[x]
-			yStart := 0
-			if sym {
-				yStart = x + 1
-			}
-			for z := ztile; z < zhi; z++ {
-				if z == x {
-					continue
-				}
-				b := rowX[z]
-				if b+s.logMin[z]+amgm >= 2*maxX {
-					continue
-				}
-				if math.Exp((b-maxX)*invT)+math.Exp((s.logMin[z]-maxX)*invT) >= 1 {
-					continue
-				}
-				rowZ := pager.Row(z)
-				aMin := (b + s.logMin[z] + amgm) / 2
-				for y := yStart; y < n; y++ {
-					if y == x || y == z {
-						continue
-					}
-					a := rowX[y]
-					if a <= aMin {
-						continue
-					}
-					c := rowZ[y]
-					if a <= c || b+c+amgm >= 2*a {
-						continue
-					}
-					if math.Exp((b-a)*invT)+math.Exp((c-a)*invT) >= 1 {
-						continue
-					}
-					if zt := zetaTriplet(a, b, c, s.tol); zt > best {
-						best = zt
-						invT = 1 / best
-						amgm = 2 * math.Ln2 * best
-						aMin = (b + s.logMin[z] + amgm) / 2
-					}
-				}
-			}
-		}
-	}
-	return best, nil
+	return maxRange(ctx, k, xlo, xhi, sym, s.seed, NewRowPager(s.rs, s.tileRows, s.maxTiles, nil))
 }
 
 // VarphiMaxRange returns the exact ϕ maximum over triplets with first index
-// in [xlo, xhi), streaming raw decay rows — the ϕ analogue of ZetaMaxRange,
-// mirroring VarphiScanState.MaxRange bit for bit. sym halves the scan on
-// exactly symmetric spaces (z starts at x+1).
+// in [xlo, xhi), running the ϕ pair kernel on paged decay rows — the ϕ
+// analogue of ZetaMaxRange. sym halves the scan on exactly symmetric
+// spaces (z starts at x+1).
 func (s *StreamScan) VarphiMaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
-	best := varphiFloorValue
 	if s.n < 3 || xlo >= xhi {
-		return best, ctx.Err()
+		return VarphiFloor, ctx.Err()
 	}
-	n := s.n
-	tile := tripletTile(n)
-	if tile <= 0 {
-		tile = n
-	}
-	pager := NewRowPager(s.rs, s.tileRows, s.maxTiles, nil)
-	rowX := make([]float64, n)
-	for ytile := 0; ytile < n; ytile += tile {
-		yhi := ytile + tile
-		if yhi > n {
-			yhi = n
-		}
-		for x := xlo; x < xhi; x++ {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			copy(rowX, pager.Row(x))
-			maxX := s.fMax[x]
-			zStart := 0
-			if sym {
-				zStart = x + 1
-			}
-			for y := ytile; y < yhi; y++ {
-				if y == x {
-					continue
-				}
-				fxy := rowX[y]
-				if maxX <= best*(fxy+s.fMin[y]) {
-					continue
-				}
-				rowY := pager.Row(y)
-				for z := zStart; z < n; z++ {
-					if z == x || z == y {
-						continue
-					}
-					if r := rowX[z] / (fxy + rowY[z]); r > best {
-						best = r
-					}
-				}
-			}
-		}
-	}
-	return best, nil
+	k := &varphiKernel{n: s.n, fMax: s.fMax, fMin: s.fMin}
+	return maxRange(ctx, k, xlo, xhi, sym, VarphiFloor, NewRowPager(s.rs, s.tileRows, s.maxTiles, nil))
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"decaynet/internal/rng"
@@ -42,19 +43,18 @@ func streamTestMatrix(t *testing.T, n int, seed uint64, symmetric bool) *Matrix 
 func TestRowPagerServesTransformedRows(t *testing.T) {
 	m := streamTestMatrix(t, 20, 1, false)
 	n := m.N()
-	double := func(row []float64) {
+	scale := func(i int, row []float64) {
 		for j := range row {
-			row[j] *= 2
+			row[j] *= float64(i + 1)
 		}
 	}
-	p := NewRowPager(m, 4, 2, double)
+	p := NewRowPager(m, 4, 2, scale)
 	want := make([]float64, n)
 	for _, i := range []int{0, 3, 19, 7, 0, 12, 5, 19} {
 		got := p.Row(i)
 		m.Row(i, want)
 		for j := range want {
-			w := 2 * want[j]
-			if got[j] != w {
+			if w := float64(i+1) * want[j]; got[j] != w {
 				t.Fatalf("Row(%d)[%d] = %v, want %v", i, j, got[j], w)
 			}
 		}
@@ -90,10 +90,10 @@ func TestRowPagerLRURevisit(t *testing.T) {
 }
 
 // TestStreamScanMatchesDenseRanges is the bit-identity property the sharded
-// out-of-core path rests on: for every range partition, the streamed
-// ZetaMaxRange / VarphiMaxRange equal the dense ZetaScanState /
-// VarphiScanState ranges exactly, and their max-merge equals the unsharded
-// full scans.
+// out-of-core path rests on: for every range, the streamed and dense ϕ
+// ranges return the per-pair maximum over the range's triplets exactly,
+// and the ζ ranges the larger of that and their state's seed, a value the
+// space attains, so the max-merge over a partition equals the full scans.
 func TestStreamScanMatchesDenseRanges(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -113,36 +113,44 @@ func TestStreamScanMatchesDenseRanges(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewStreamScan: %v", err)
 			}
-			zs := NewZetaScanState(m, 1e-12)
+			zs, err := NewZetaScanState(ctx, m, 1e-12)
+			if err != nil {
+				t.Fatal(err)
+			}
 			vs := NewVarphiScanState(m)
 			ranges := [][2]int{{0, tc.n}, {0, tc.n / 3}, {tc.n / 3, tc.n - 1}, {tc.n - 1, tc.n}}
 			for _, r := range ranges {
-				wantZ, err := zs.MaxRange(ctx, r[0], r[1], tc.sym)
-				if err != nil {
-					t.Fatalf("dense ZetaMaxRange: %v", err)
-				}
+				exactZ, exactV := rangePerPair(m, r[0], r[1], tc.sym)
 				gotZ, err := ss.ZetaMaxRange(ctx, r[0], r[1], tc.sym)
 				if err != nil {
 					t.Fatalf("streamed ZetaMaxRange: %v", err)
 				}
-				if gotZ != wantZ {
-					t.Fatalf("ZetaMaxRange[%d,%d) = %v, dense %v", r[0], r[1], gotZ, wantZ)
+				if want := max(exactZ, ss.seed); gotZ != want {
+					t.Fatalf("ZetaMaxRange[%d,%d) = %v, want %v", r[0], r[1], gotZ, want)
 				}
-				wantV, err := vs.MaxRange(ctx, r[0], r[1], tc.sym)
+				denseZ, err := zs.MaxRange(ctx, r[0], r[1], tc.sym)
 				if err != nil {
-					t.Fatalf("dense VarphiMaxRange: %v", err)
+					t.Fatalf("dense ZetaMaxRange: %v", err)
 				}
-				gotV, err := ss.VarphiMaxRange(ctx, r[0], r[1], tc.sym)
-				if err != nil {
-					t.Fatalf("streamed VarphiMaxRange: %v", err)
+				if want := max(exactZ, zs.seed); denseZ != want {
+					t.Fatalf("dense ZetaMaxRange[%d,%d) = %v, want %v", r[0], r[1], denseZ, want)
 				}
-				if gotV != wantV {
-					t.Fatalf("VarphiMaxRange[%d,%d) = %v, dense %v", r[0], r[1], gotV, wantV)
+				for _, v := range []struct {
+					route string
+					f     func(context.Context, int, int, bool) (float64, error)
+				}{{"dense", vs.MaxRange}, {"streamed", ss.VarphiMaxRange}} {
+					got, err := v.f(ctx, r[0], r[1], tc.sym)
+					if err != nil {
+						t.Fatalf("%s VarphiMaxRange: %v", v.route, err)
+					}
+					if got != exactV {
+						t.Fatalf("%s VarphiMaxRange[%d,%d) = %v, per-pair %v", v.route, r[0], r[1], got, exactV)
+					}
 				}
 			}
 			// Max-merge over a 3-way partition reproduces the full scans.
 			cuts := []int{0, tc.n / 3, 2 * tc.n / 3, tc.n}
-			zMerged, vMerged := DefaultZetaFloor, varphiFloorValue
+			zMerged, vMerged := DefaultZetaFloor, VarphiFloor
 			for i := 0; i+1 < len(cuts); i++ {
 				z, err := ss.ZetaMaxRange(ctx, cuts[i], cuts[i+1], tc.sym)
 				if err != nil {
@@ -169,6 +177,30 @@ func TestStreamScanMatchesDenseRanges(t *testing.T) {
 	}
 }
 
+// rangePerPair returns the per-pair ζ (tol 1e-12) and ϕ maxima over the
+// triplets of m whose first index lies in [lo, hi) — with sym, only those
+// whose other endpoint (y for ζ, z for ϕ) lies above it.
+func rangePerPair(m *Matrix, lo, hi int, sym bool) (zeta, varphi float64) {
+	zeta, varphi = DefaultZetaFloor, VarphiFloor
+	n := m.N()
+	for x := lo; x < hi; x++ {
+		for y := 0; y < n; y++ {
+			for z := 0; z < n; z++ {
+				if y == x || z == x || z == y {
+					continue
+				}
+				if !sym || y > x {
+					zeta = max(zeta, zetaTriplet(math.Log(m.F(x, y)), math.Log(m.F(x, z)), math.Log(m.F(z, y)), 1e-12))
+				}
+				if !sym || z > x {
+					varphi = max(varphi, m.F(x, z)/(m.F(x, y)+m.F(y, z)))
+				}
+			}
+		}
+	}
+	return zeta, varphi
+}
+
 // TestStreamScanDegenerate covers the n < 3 floor and empty ranges.
 func TestStreamScanDegenerate(t *testing.T) {
 	ctx := context.Background()
@@ -180,7 +212,7 @@ func TestStreamScanDegenerate(t *testing.T) {
 	if z, err := ss.ZetaMaxRange(ctx, 0, 2, false); err != nil || z != DefaultZetaFloor {
 		t.Fatalf("ζ on n=2 = %v, %v; want floor", z, err)
 	}
-	if v, err := ss.VarphiMaxRange(ctx, 0, 2, false); err != nil || v != varphiFloorValue {
+	if v, err := ss.VarphiMaxRange(ctx, 0, 2, false); err != nil || v != VarphiFloor {
 		t.Fatalf("ϕ on n=2 = %v, %v; want floor", v, err)
 	}
 	m := streamTestMatrix(t, 8, 3, false)

@@ -1,8 +1,8 @@
-// Package experiments implements the reproduction suite E1–E14 mapped out
-// in DESIGN.md: one experiment per theorem/claim of the paper, each
+// Package experiments implements the reproduction suite E1–E14: one
+// experiment per theorem/claim of the paper (arXiv 1402.5003), each
 // returning a Report whose rows are the series the claim predicts.
 // cmd/decaybench prints them; the root bench_test.go wraps each in a
-// testing.B benchmark; EXPERIMENTS.md records the measured outcomes.
+// testing.B benchmark.
 package experiments
 
 import (

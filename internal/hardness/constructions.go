@@ -46,7 +46,7 @@ func (in *Instance) System() (*sinr.System, error) {
 // reduction vacuous; the appendix's own power-control argument and the
 // Theorem 6 construction (edge decay n^α′−δ just *below* the signal decay
 // n^α′, non-edge decay n^α′+1 above it) fix the intended direction, which
-// is what we implement. EXPERIMENTS.md records this correction.
+// is what we implement.
 func Theorem3(g *graph.Graph) (*Instance, error) {
 	n := g.N()
 	if n < 2 {

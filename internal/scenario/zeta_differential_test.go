@@ -11,7 +11,7 @@ import (
 	"decaynet/internal/shard"
 )
 
-// differentialSpace is one row of the ζ differential table.
+// differentialSpace is one row of the ζ and ϕ differential tables.
 type differentialSpace struct {
 	label string
 	space core.Space
@@ -62,89 +62,113 @@ func differentialSpaces(t *testing.T) []differentialSpace {
 	return out
 }
 
-// tieSplits lists the table rows on which the routes are known to
-// disagree in the last bits. The Sec 3.4 star space is an exact metric:
-// every leaf–centre–leaf triplet meets the triangle inequality with
-// equality, so its solved ζ sits within solver tolerance of the floor, and
-// which of these ties is solved depends on the prune. The scans behind
-// shard.New, NewZetaTracker and shard.NewStreamed add an AM-GM prune
-// (b + c + 2·ln2·ζ ≥ 2a) that ZetaTolCtx and ZetaPerPair do not have, and
-// on these ties the two tests round differently. The split predates the
-// linear screen of ZetaTolCtx; the list shrinks when the kernels become one.
-var tieSplits = map[string]bool{
-	"star/n40/seed1": true, "star/n70/seed1": true,
-	"star/n40/seed7": true, "star/n70/seed7": true,
+// route is one exact ζ or ϕ route's value on a table space.
+type route struct {
+	name string
+	v    float64
 }
 
-// TestZetaDifferentialTable: every exact ζ route returns the same bits as
-// the unsharded scan core.ZetaTolCtx on every space of the table — the
-// shard.New coordinator, NewZetaTracker's initial value and a row-paged
-// streamed session (shard.NewStreamed over a StreamScan) — and the serial
-// per-pair oracle agrees within 1e-9. The rows of tieSplits instead agree
-// within 1e-12 and must still split. At the ablation's coarsest tolerance,
-// 1e-3, the scan stays within the ablation's claim: ζ moves by at most
-// 1e-3 relative, against both the tight value and the per-pair oracle at
-// the same tolerance.
-func TestZetaDifferentialTable(t *testing.T) {
+// zetaRoutes returns every exact ζ route's value on space at tol: the
+// unsharded scan core.ZetaTolCtx, the shard.New coordinator,
+// NewZetaTracker's initial value and a row-paged streamed session
+// (shard.NewStreamed, tiny tiles so rows really page).
+func zetaRoutes(t *testing.T, space core.Space, tol float64) []route {
+	t.Helper()
 	ctx := context.Background()
-	const tol = 1e-12
+	must := func(v float64, err error) float64 {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	m := core.Dense(space)
+	coord, err := shard.New(m, tol, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracker, err := core.NewZetaTracker(ctx, m.Clone(), tol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamCoord, err := shard.NewStreamed(ctx, core.Rows(space), tol, 2, 7, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []route{
+		{"ZetaTolCtx", must(core.ZetaTolCtx(ctx, space, tol))},
+		{"shard.New", must(coord.Zeta(ctx))},
+		{"NewZetaTracker", tracker.Zeta()},
+		{"shard.NewStreamed", must(streamCoord.Zeta(ctx))},
+	}
+}
+
+// TestZetaDifferentialTable: on every space of the table, every exact ζ
+// route (zetaRoutes) returns the serial per-pair oracle's bits, at the
+// tight tolerance and at the ablation's coarsest, 1e-3. At 1e-3 many
+// triplets tie within tolerance of the maximum, so ZetaTol also runs four
+// times there and must return the oracle's bits every time: which tile
+// meets a tie first must not decide the result.
+func TestZetaDifferentialTable(t *testing.T) {
 	spaces := differentialSpaces(t)
 	for _, tc := range spaces {
-		want, err := core.ZetaTolCtx(ctx, tc.space, tol)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.label, err)
-		}
-		m := core.Dense(tc.space)
-		coord, err := shard.New(m, tol, 3)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.label, err)
-		}
-		sharded, err := coord.Zeta(ctx)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.label, err)
-		}
-		tracker, err := core.NewZetaTracker(ctx, m.Clone(), tol)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.label, err)
-		}
-		streamCoord, err := shard.NewStreamed(ctx, core.Rows(tc.space), tol, 2, 7, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.label, err)
-		}
-		streamed, err := streamCoord.Zeta(ctx)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.label, err)
-		}
-		split := false
-		for _, r := range []struct {
-			route string
-			z     float64
-		}{
-			{"shard.New", sharded},
-			{"NewZetaTracker", tracker.Zeta()},
-			{"shard.NewStreamed", streamed},
-		} {
-			if math.Float64bits(r.z) == math.Float64bits(want) {
-				continue
-			}
-			split = true
-			if !tieSplits[tc.label] || math.Abs(r.z-want) > 1e-12*want {
-				t.Errorf("%s: %s ζ %v, ZetaTolCtx %v", tc.label, r.route, r.z, want)
+		for _, tol := range []float64{1e-12, 1e-3} {
+			want := core.ZetaPerPair(tc.space, tol)
+			for _, r := range zetaRoutes(t, tc.space, tol) {
+				if math.Float64bits(r.v) != math.Float64bits(want) {
+					t.Errorf("%s tol=%g: %s ζ %v, per-pair %v", tc.label, tol, r.name, r.v, want)
+				}
 			}
 		}
-		if tieSplits[tc.label] && !split {
-			t.Errorf("%s: listed in tieSplits but every route agrees; drop it from the list", tc.label)
-		}
-		if ref := core.ZetaPerPair(tc.space, tol); math.Abs(want-ref) > 1e-9*ref {
-			t.Errorf("%s: ZetaTolCtx %v, per-pair %v", tc.label, want, ref)
-		}
-		coarse := core.ZetaTol(tc.space, 1e-3)
-		coarseRef := core.ZetaPerPair(tc.space, 1e-3)
-		if math.Abs(coarse-want) > 1e-3*want || math.Abs(coarse-coarseRef) > 1e-3*coarseRef {
-			t.Errorf("%s: tol 1e-3: ζ %v, tight %v, per-pair at 1e-3 %v", tc.label, coarse, want, coarseRef)
+		want := core.ZetaPerPair(tc.space, 1e-3)
+		for run := 0; run < 4; run++ {
+			if z := core.ZetaTol(tc.space, 1e-3); math.Float64bits(z) != math.Float64bits(want) {
+				t.Errorf("%s tol=1e-3 run %d: ζ %v, per-pair %v", tc.label, run, z, want)
+			}
 		}
 	}
 	if len(spaces) < 80 {
 		t.Fatalf("differential table has %d spaces, want ≥ 80", len(spaces))
+	}
+}
+
+// TestVarphiDifferentialTable is the ϕ table: core.Varphi, the shard.New
+// coordinator, NewVarphiTracker's initial value and a row-paged streamed
+// session return VarphiPerPair's bits on every space of the table.
+func TestVarphiDifferentialTable(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range differentialSpaces(t) {
+		want := core.VarphiPerPair(tc.space)
+		m := core.Dense(tc.space)
+		coord, err := shard.New(m, 1e-12, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded, err := coord.Varphi(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracker, err := core.NewVarphiTracker(ctx, m.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamCoord, err := shard.NewStreamed(ctx, core.Rows(tc.space), 1e-12, 2, 7, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := streamCoord.Varphi(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []route{
+			{"Varphi", core.Varphi(tc.space)},
+			{"shard.New", sharded},
+			{"NewVarphiTracker", tracker.Varphi()},
+			{"shard.NewStreamed", streamed},
+		} {
+			if math.Float64bits(r.v) != math.Float64bits(want) {
+				t.Errorf("%s: %s ϕ %v, per-pair %v", tc.label, r.name, r.v, want)
+			}
+		}
 	}
 }

@@ -31,6 +31,7 @@ func encodeTiered(snap tier.Snapshot, ex core.StreamExtrema, tileRows, maxTiles 
 		LogMin:    Floats(ex.LogMin),
 		FMax:      Floats(ex.FMax),
 		FMin:      Floats(ex.FMin),
+		Seed:      ex.Seed,
 		TileRows:  tileRows,
 		MaxTiles:  maxTiles,
 	}
@@ -91,6 +92,7 @@ func (ts *TieredSnap) decodeTiered(n int) (tier.Snapshot, core.StreamExtrema, er
 		LogMin: []float64(ts.LogMin),
 		FMax:   []float64(ts.FMax),
 		FMin:   []float64(ts.FMin),
+		Seed:   ts.Seed,
 	}
 	return snap, ex, nil
 }

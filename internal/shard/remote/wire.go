@@ -250,8 +250,8 @@ func unwrapBase64(data []byte, stride int) ([]byte, error) {
 
 // TieredSnap is the tiered-session alternative to a dense Flat snapshot:
 // the CSR near field, the tail payload (model + flattened point pairs, or
-// float32 pages), and the streamed-scan pruning extrema — O(K·n) on the
-// wire for a model tail instead of O(n²). The worker rebuilds a
+// float32 pages), and the streamed-scan pruning extrema and seed — O(K·n)
+// on the wire for a model tail instead of O(n²). The worker rebuilds a
 // tier.Space via tier.FromSnapshot and a streamed replica via
 // shard.NewStreamedReplicaFrom, so its row-range scans are bit-identical
 // to the coordinator's local streamed scans. Tiered sessions are
@@ -270,6 +270,7 @@ type TieredSnap struct {
 	LogMin    Floats          `json:"log_min,omitempty"`
 	FMax      Floats          `json:"f_max,omitempty"`
 	FMin      Floats          `json:"f_min,omitempty"`
+	Seed      float64         `json:"seed,omitempty"`
 	TileRows  int             `json:"tile_rows,omitempty"`
 	MaxTiles  int             `json:"max_tiles,omitempty"`
 }
@@ -290,6 +291,9 @@ func (ts *TieredSnap) appendJSON(dst []byte) []byte {
 	dst = appendPacked(dst, "log_min", ts.LogMin.bytes())
 	dst = appendPacked(dst, "f_max", ts.FMax.bytes())
 	dst = appendPacked(dst, "f_min", ts.FMin.bytes())
+	if ts.Seed != 0 {
+		dst = fmt.Appendf(dst, `,"seed":%s`, strconv.FormatFloat(ts.Seed, 'g', -1, 64))
+	}
 	if ts.TileRows != 0 {
 		dst = fmt.Appendf(dst, `,"tile_rows":%d`, ts.TileRows)
 	}

@@ -114,7 +114,7 @@ func TestHandEncodedRequestsMatchStructTags(t *testing.T) {
 			NearStart: Int32s{0, 1, 2}, NearIdx: Int32s{1, 0}, NearVal: vals,
 			F32: Float32s{1.5, float32(math.Inf(1))}, Model: json.RawMessage(`{"c":2}`),
 			Pts: vals, LogMax: vals, LogMin: vals, FMax: vals, FMin: vals,
-			TileRows: 16, MaxTiles: 4,
+			Seed: 1.0000000000000426, TileRows: 16, MaxTiles: 4,
 		}},
 	} {
 		want, err := json.Marshal(job)

@@ -11,10 +11,11 @@
 //
 // Every reduction the coordinator performs is associative and
 // schedule-independent — maxima merge with max, bands concatenate in shard
-// order — and every per-triplet value is computed
-// by the same deterministic kernels as the unsharded scans
-// (core.ZetaScanState / core.VarphiScanState), so the sharded results are
-// bit-identical to the single-machine ones. That property is what lets
+// order — and every shard runs the same ζ and ϕ pair kernels over its row
+// range as the unsharded scans (core.ZetaScanState / core.VarphiScanState,
+// core.StreamScan), each of which keeps exactly the triplets above its
+// bound, so the sharded results are bit-identical to the single-machine
+// ones and to the per-pair oracles. That property is what lets
 // decaynet.WithShards route a live session through the coordinator
 // transparently and is enforced by the equivalence property tests.
 //
@@ -71,8 +72,10 @@ func Split(n, k int) []Range {
 }
 
 // ScanJob asks a worker for the exact maximum over the triplets whose
-// first index lies in its row range. Sym certifies exact decay symmetry,
-// allowing the halved scan.
+// first index lies in its row range, or a larger value the space attains
+// (the seed its scan starts at), so the max-merge over the ranges is the
+// exact full maximum. Sym certifies exact decay symmetry, allowing the
+// halved scan.
 type ScanJob struct {
 	Rows Range `json:"rows"`
 	Sym  bool  `json:"sym"`
@@ -128,13 +131,13 @@ type Worker interface {
 var ErrStreamed = errors.New("shard: operation not supported on a streamed replica (streamed sessions are immutable)")
 
 // Replica is the session state a worker scans: the dense decay matrix plus
-// lazily built scan replicas (log matrix, pruning extrema). In-process,
-// one Replica is shared by every worker and patched in place by the
-// session's repairs (under the session write lock); cross-machine, each
-// worker would hold its own and apply shipped mutation batches.
+// lazily built scan replicas (the ζ screen matrix G, pruning extrema).
+// In-process, one Replica is shared by every worker and patched in place
+// by the session's repairs (under the session write lock); cross-machine,
+// each worker would hold its own and apply shipped mutation batches.
 //
 // A streamed replica (NewStreamedReplica) holds no dense matrix at all:
-// instead of an n² log matrix it carries a core.StreamScan — O(n) pruning
+// instead of an n² matrix it carries a core.StreamScan — O(n) pruning
 // extrema over a core.RowSpace — and its workers page rows through bounded
 // tile caches during range scans. Max scans work identically (and
 // bit-identically); trackers and repairs return ErrStreamed.
@@ -144,6 +147,7 @@ type Replica struct {
 	tol float64
 	zs  *core.ZetaScanState
 	vs  *core.VarphiScanState
+	sym int8 // cached exact symmetry: 0 unknown, 1 yes, -1 no
 
 	rows core.RowSpace    // streamed replicas: the row source
 	ss   *core.StreamScan // streamed replicas: extrema + paging geometry
@@ -220,22 +224,33 @@ func (r *Replica) N() int {
 }
 
 // symmetric reports whether the replica's space certifies exact symmetry
-// (the halved triplet scans rely on it).
+// (the halved triplet scans rely on it). The O(n²) check runs once and ζ
+// and ϕ share it until Patch or an invalidation says the matrix changed.
 func (r *Replica) symmetric() bool {
-	if r.m != nil {
-		return r.m.Symmetric()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.sym == 0 {
+		r.sym = -1
+		if r.m != nil && r.m.Symmetric() || r.m == nil && core.KnownSymmetric(r.rows) {
+			r.sym = 1
+		}
 	}
-	return core.KnownSymmetric(r.rows)
+	return r.sym > 0
 }
 
-// ZetaState returns the replica's ζ scan state, building it on first use.
-func (r *Replica) ZetaState() *core.ZetaScanState {
+// ZetaState returns the replica's ζ scan state, building it on first use
+// (cancellable via ctx; a cancelled build caches nothing).
+func (r *Replica) ZetaState(ctx context.Context) (*core.ZetaScanState, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.zs == nil {
-		r.zs = core.NewZetaScanState(r.m, r.tol)
+		zs, err := core.NewZetaScanState(ctx, r.m, r.tol)
+		if err != nil {
+			return nil, err
+		}
+		r.zs = zs
 	}
-	return r.zs
+	return r.zs, nil
 }
 
 // VarphiState returns the replica's ϕ scan state, building it on first use.
@@ -248,19 +263,26 @@ func (r *Replica) VarphiState() *core.VarphiScanState {
 	return r.vs
 }
 
+// mutated drops the cached symmetry after the session mutated the matrix.
+func (r *Replica) mutated() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.sym = 0
+}
+
 // InvalidateZeta drops the ζ scan state (the matrix mutated without an
 // incremental repair); the next scan rebuilds it.
 func (r *Replica) InvalidateZeta() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.zs = nil
+	r.zs, r.sym = nil, 0
 }
 
 // InvalidateVarphi drops the ϕ scan state.
 func (r *Replica) InvalidateVarphi() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.vs = nil
+	r.vs, r.sym = nil, 0
 }
 
 // M returns the dense space the replica scans. Mutating it without a
@@ -277,6 +299,7 @@ func (r *Replica) M() *core.Matrix { return r.m }
 func (r *Replica) Patch(dirty []int, rowsOnly bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.sym = 0
 	if r.zs != nil {
 		r.zs.PatchRows(dirty, rowsOnly)
 	}
@@ -298,7 +321,11 @@ func (w *localWorker) ZetaMax(ctx context.Context, job ScanJob) (MaxResult, erro
 		max, err := w.rep.ss.ZetaMaxRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Sym)
 		return MaxResult{Max: max}, err
 	}
-	max, err := w.rep.ZetaState().MaxRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Sym)
+	st, err := w.rep.ZetaState(ctx)
+	if err != nil {
+		return MaxResult{}, err
+	}
+	max, err := st.MaxRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Sym)
 	return MaxResult{Max: max}, err
 }
 
@@ -306,7 +333,11 @@ func (w *localWorker) ZetaBand(ctx context.Context, job BandJob) (BandResult, er
 	if w.rep.Streamed() {
 		return BandResult{}, ErrStreamed
 	}
-	band, err := w.rep.ZetaState().CollectRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Floor)
+	st, err := w.rep.ZetaState(ctx)
+	if err != nil {
+		return BandResult{}, err
+	}
+	band, err := st.CollectRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Floor)
 	return BandResult{Band: band}, err
 }
 
@@ -315,7 +346,11 @@ func (w *localWorker) ZetaRepair(ctx context.Context, job RepairJob) (BandResult
 		return BandResult{}, ErrStreamed
 	}
 	mask := dirtyMask(w.rep.m.N(), job.Dirty)
-	band, err := w.rep.ZetaState().RepairRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Dirty, mask, job.RowsOnly, job.Floor)
+	st, err := w.rep.ZetaState(ctx)
+	if err != nil {
+		return BandResult{}, err
+	}
+	band, err := st.RepairRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Dirty, mask, job.RowsOnly, job.Floor)
 	return BandResult{Band: band}, err
 }
 
@@ -594,7 +629,10 @@ func (c *Coordinator) ZetaTracker(ctx context.Context) (*core.ZetaTracker, error
 	if c.rep.Streamed() {
 		return nil, ErrStreamed
 	}
-	st := c.rep.ZetaState()
+	st, err := c.rep.ZetaState(ctx)
+	if err != nil {
+		return nil, err
+	}
 	zmax, err := c.maxPhase(ctx, false, func(ctx context.Context, w Worker, job ScanJob) (MaxResult, error) {
 		return w.ZetaMax(ctx, job)
 	}, core.DefaultZetaFloor)
@@ -647,6 +685,7 @@ func (c *Coordinator) RepairZeta(ctx context.Context, t *core.ZetaTracker, dirty
 	if c.rep.Streamed() {
 		return 0, ErrStreamed
 	}
+	c.rep.mutated()
 	t.PatchAndDrop(dirty, rowsOnly)
 	band, err := c.repairPhase(ctx, dirty, rowsOnly, t.Floor(), func(ctx context.Context, w Worker, job RepairJob) (BandResult, error) {
 		return w.ZetaRepair(ctx, job)
@@ -682,6 +721,7 @@ func (c *Coordinator) RepairVarphi(ctx context.Context, t *core.VarphiTracker, d
 	if c.rep.Streamed() {
 		return 0, ErrStreamed
 	}
+	c.rep.mutated()
 	t.PatchAndDrop(dirty, rowsOnly)
 	band, err := c.repairPhase(ctx, dirty, rowsOnly, t.Floor(), func(ctx context.Context, w Worker, job RepairJob) (BandResult, error) {
 		return w.VarphiRepair(ctx, job)

@@ -10,7 +10,7 @@ import (
 )
 
 // TestStreamedScansMatchDense: a streamed coordinator (row-paged replica,
-// no dense log matrix) merges the same ζ/ϕ as the unsharded kernels, bit
+// no dense matrix) merges the same ζ/ϕ as the unsharded kernels, bit
 // for bit, across shard counts and symmetry — the out-of-core contract the
 // tiered sessions rely on.
 func TestStreamedScansMatchDense(t *testing.T) {

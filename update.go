@@ -335,7 +335,7 @@ func (e *Engine) repairMetricity(dirty []int, rowsOnly bool) {
 
 // invalidateShardZeta drops the sharding replica's ζ scan state when the
 // session invalidates instead of repairing — the workers must not scan a
-// stale log matrix after the next rebuild.
+// stale screen matrix after the next rebuild.
 func (e *Engine) invalidateShardZeta() {
 	if e.coord != nil {
 		e.coord.Replica().InvalidateZeta()
