@@ -553,13 +553,12 @@ func benchTier(record func(op string, size int, fn func()), space core.Space, n 
 // the timed loop, as a session's replica is), so the rows isolate the
 // scan itself — the part that scales with K.
 func benchShardZeta(record func(op string, size int, fn func()), space core.Space, n int) error {
-	m := core.Dense(space)
 	for _, k := range []int{1, 2, 4, shardBenchK} {
-		c, err := shard.New(m, 1e-12, k)
+		c, err := localShards(core.Dense(space), k)
 		if err != nil {
 			return err
 		}
-		if _, err := c.Zeta(context.Background()); err != nil { // warm the replica
+		if _, err := c.Max(context.Background(), shard.Zeta); err != nil { // warm the replica
 			return err
 		}
 		op := "shard/zeta"
@@ -567,12 +566,26 @@ func benchShardZeta(record func(op string, size int, fn func()), space core.Spac
 			op = fmt.Sprintf("shard/zeta-k%d", k)
 		}
 		record(op, n, func() {
-			if _, err := c.Zeta(context.Background()); err != nil {
+			if _, err := c.Max(context.Background(), shard.Zeta); err != nil {
 				panic(err)
 			}
 		})
 	}
 	return nil
+}
+
+// localShards builds a coordinator over m with k in-process shard
+// workers sharing one replica, as decaynet.WithShards(k) does.
+func localShards(m *core.Matrix, k int) (*shard.Coordinator, error) {
+	rep, err := shard.NewReplica(context.Background(), m, 1e-12, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	workers := make([]shard.Worker, k)
+	for i := range workers {
+		workers[i] = shard.NewLocalWorker(rep)
+	}
+	return shard.New(rep, workers)
 }
 
 // updateDirtyRows is the dirty-row batch size of the update-path ops: the

@@ -33,16 +33,16 @@ func runRemote(addrList string, n, iters int, pause time.Duration) error {
 
 	// The expected value comes from the proven-bit-identical local path:
 	// a same-K sharded coordinator over a clone of the space.
-	localCoord, err := shard.New(m.Clone(), 1e-12, len(addrs))
+	localCoord, err := localShards(m.Clone(), len(addrs))
 	if err != nil {
 		return err
 	}
-	want, err := localCoord.Zeta(context.Background())
+	want, err := localCoord.Max(context.Background(), shard.Zeta)
 	if err != nil {
 		return err
 	}
 
-	pool, err := remote.NewPool(remote.PoolConfig{
+	coord, pool, err := remotePool(remote.PoolConfig{
 		Addrs: addrs,
 		// A killed worker should be declared dead within one or two scan
 		// iterations, not after minutes of polite backoff.
@@ -53,20 +53,16 @@ func runRemote(addrList string, n, iters int, pause time.Duration) error {
 		Logf: func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		},
-	}, m, 1e-12)
+	}, m)
 	if err != nil {
 		return err
 	}
 	defer pool.Close()
-	coord, err := shard.NewWithWorkers(pool.Replica(), pool.Workers())
-	if err != nil {
-		return err
-	}
 
 	fmt.Printf("remote driver: n=%d workers=%d iters=%d\n", n, len(addrs), iters)
 	var zeta float64
 	for i := 1; i <= iters; i++ {
-		zeta, err = coord.Zeta(context.Background())
+		zeta, err = coord.Max(context.Background(), shard.Zeta)
 		if err != nil {
 			return fmt.Errorf("iter %d: %w", i, err)
 		}
@@ -106,23 +102,38 @@ func benchRemoteZeta(record func(op string, size int, fn func()), space core.Spa
 		go remote.Serve(ctx, ln, remote.ServerOptions{})
 	}
 
-	m := core.Dense(space)
-	pool, err := remote.NewPool(remote.PoolConfig{Addrs: addrs, PingInterval: -1}, m, 1e-12)
+	coord, pool, err := remotePool(remote.PoolConfig{Addrs: addrs, PingInterval: -1}, core.Dense(space))
 	if err != nil {
 		return err
 	}
 	defer pool.Close()
-	coord, err := shard.NewWithWorkers(pool.Replica(), pool.Workers())
-	if err != nil {
-		return err
-	}
-	if _, err := coord.Zeta(context.Background()); err != nil { // warm the replicas
+	if _, err := coord.Max(context.Background(), shard.Zeta); err != nil { // warm the replicas
 		return err
 	}
 	record("remote/zeta", n, func() {
-		if _, err := coord.Zeta(context.Background()); err != nil {
+		if _, err := coord.Max(context.Background(), shard.Zeta); err != nil {
 			panic(err)
 		}
 	})
 	return nil
+}
+
+// remotePool dials and syncs the workers of cfg over a replica of m and
+// returns the coordinator over the pool's workers, as
+// decaynet.WithRemoteWorkers does. The caller closes the pool.
+func remotePool(cfg remote.PoolConfig, m *core.Matrix) (*shard.Coordinator, *remote.Pool, error) {
+	rep, err := shard.NewReplica(context.Background(), m, 1e-12, 0, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	pool, err := remote.NewPool(cfg, rep)
+	if err != nil {
+		return nil, nil, err
+	}
+	coord, err := shard.New(rep, pool.Workers())
+	if err != nil {
+		pool.Close()
+		return nil, nil, err
+	}
+	return coord, pool, nil
 }

@@ -69,21 +69,13 @@ type Engine struct {
 	// instead of the one-shot scans. Set by WithMutationTracking or by the
 	// first Update.
 	dynamic bool
-	zt      *core.ZetaTracker
-	vt      *core.VarphiTracker
+	zt      shard.Tracker
+	vt      shard.Tracker
 
-	// coord, when non-nil (WithShards or WithRemoteWorkers), routes the
-	// exact ζ/ϕ scans and the incremental session repairs through the
-	// row-range sharding runtime. Sharded results are bit-identical to the
-	// unsharded paths; the sampled estimators (WithApproxMetricity) and the
-	// O(links²) affectance builds bypass the coordinator.
-	coord *shard.Coordinator
-
-	// pool, when non-nil (WithRemoteWorkers), is the fault-tolerant remote
-	// worker pool the coordinator's workers route through. Update ships
-	// every applied space mutation to it before repairing, keeping worker
-	// replicas at the session's version fence.
-	pool *remote.Pool
+	// be runs every exact ζ/ϕ scan and incremental repair (see backend).
+	// It is nil only for an unsharded session whose ζ/ϕ are sampled
+	// (WithApproxMetricity); the O(links²) affectance builds never use it.
+	be *backend
 
 	// approxSamples > 0 routes Zeta/Phi to the sampled estimators
 	// (WithApproxMetricity fired: the space is at or above the size
@@ -104,6 +96,70 @@ type Engine struct {
 	phiOK  bool
 	phi    float64
 	phiEst *core.SampledEstimate
+}
+
+// backend is the session's exact ζ/ϕ executor: a shard coordinator whose
+// workers are one in-process worker on the shared pool (an unsharded
+// session), k in-process shard workers (WithShards), or the robust
+// workers of a remote pool (WithRemoteWorkers). Every route returns the
+// per-pair oracles' bits.
+type backend struct {
+	*shard.Coordinator
+	shards int          // WithShards or WithRemoteWorkers slots; 0 unsharded
+	pool   *remote.Pool // WithRemoteWorkers only
+}
+
+// newBackend builds the backend over the session space. The replica
+// adopts a dense matrix in place; a tiered space gets a streamed replica,
+// whose O(n) scan extrema are derived here.
+func newBackend(space core.Space, ec *engineConfig) (*backend, error) {
+	rep, err := shard.NewReplica(context.Background(), space, 1e-12, 0, 0)
+	if err != nil {
+		return nil, err
+	}
+	be := &backend{shards: ec.shards}
+	var workers []shard.Worker
+	for range ec.shards {
+		workers = append(workers, shard.NewLocalWorker(rep))
+	}
+	if len(ec.remoteAddrs) > 0 {
+		cfg := remote.PoolConfig{Addrs: ec.remoteAddrs}
+		if ec.remoteTweak != nil {
+			ec.remoteTweak(&cfg)
+		}
+		if be.pool, err = remote.NewPool(cfg, rep); err != nil {
+			return nil, err
+		}
+		be.shards, workers = len(ec.remoteAddrs), be.pool.Workers()
+	}
+	be.Coordinator, _ = shard.New(rep, workers) // rep is non-nil
+	return be, nil
+}
+
+// shipUpdate ships an applied mutation to the remote replicas, if any,
+// before repairs fan out: repairs are version-fenced scans, and a worker
+// still behind the fence would answer stale.
+func (b *backend) shipUpdate(dirty []int, rowsOnly bool) {
+	if b != nil && b.pool != nil {
+		b.pool.ShipUpdate(dirty, rowsOnly)
+	}
+}
+
+// invalidate drops the replica's scan state of p after the session
+// invalidated p instead of repairing it.
+func (b *backend) invalidate(p shard.Param) {
+	if b != nil {
+		b.Replica().Invalidate(p)
+	}
+}
+
+// close releases the remote pool, if any. Later jobs fail with an error
+// wrapping remote.ErrClosed.
+func (b *backend) close() error {
+	if b == nil || b.pool == nil {
+		return nil
+	}
+	return b.pool.Close()
 }
 
 // approxMetricitySeed seeds the sampled metricity estimators an Engine
@@ -328,15 +384,15 @@ func withRemoteTweak(tweak func(*remote.PoolConfig)) EngineOption {
 // session computes its own metricity.
 //
 // Tiered sessions are immutable: Update and every mutation convenience
-// return ErrTieredImmutable. They compose with WithShards — the shard
-// workers then run the out-of-core streamed scans (core.StreamScan),
-// paging row tiles through a bounded cache instead of materializing a log
-// matrix — with WithRemoteWorkers — the Sync handshake ships the tiered
-// snapshot (CSR near field + tail + scan extrema, O(K·n) on the wire for
-// a model tail) and remote workers scan a reconstructed streamed replica
-// bit-identically to the coordinator — and with WithApproxMetricity, the
-// intended ζ/ϕ route at n ≥ 16k. Mutually exclusive with
-// WithMutationTracking.
+// return ErrTieredImmutable. Exact ζ/ϕ run the out-of-core streamed scans
+// (core.StreamScan), paging row tiles through a bounded cache instead of
+// materializing an n×n matrix, on the shared pool or on the shard workers
+// of WithShards. They compose with WithRemoteWorkers — the Sync handshake
+// ships the tiered snapshot (CSR near field + tail + scan extrema, O(K·n)
+// on the wire for a model tail) and remote workers scan a reconstructed
+// streamed replica bit-identically to the coordinator — and with
+// WithApproxMetricity, the intended ζ/ϕ route at n ≥ 16k, which builds
+// no streamed replica. Mutually exclusive with WithMutationTracking.
 //
 // For TailModel the node geometry is taken from opts.Points, or, when
 // empty, from the scenario instance the engine was built from.
@@ -464,62 +520,19 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 	if ec.shards > 0 && len(ec.remoteAddrs) > 0 {
 		return nil, errors.New("decaynet: WithShards and WithRemoteWorkers are mutually exclusive")
 	}
-	if ec.shards > 0 {
-		var (
-			coord *shard.Coordinator
-			err   error
-		)
-		if e.tiered != nil {
-			// Tiered + sharded: workers run the out-of-core streamed scans,
-			// paging row tiles through a bounded cache (core.StreamScan)
-			// instead of holding an n×n screen matrix per replica.
-			coord, err = shard.NewStreamed(context.Background(), e.tiered, 1e-12, ec.shards, 0, 0)
-		} else {
-			coord, err = shard.New(e.matrix, 1e-12, ec.shards)
-		}
+	if !approx || ec.shards > 0 || len(ec.remoteAddrs) > 0 {
+		be, err := newBackend(e.space, &ec)
 		if err != nil {
 			return nil, err
 		}
-		e.coord = coord
-	}
-	if len(ec.remoteAddrs) > 0 {
-		cfg := remote.PoolConfig{Addrs: ec.remoteAddrs}
-		if ec.remoteTweak != nil {
-			ec.remoteTweak(&cfg)
-		}
-		var (
-			pool *remote.Pool
-			err  error
-		)
-		if e.tiered != nil {
-			// Tiered + remote: the coordinator derives the streamed-scan
-			// extrema once, then the Sync handshake ships the tiered snapshot
-			// plus the extrema — O(K·n) on the wire for a model tail — and
-			// each worker rebuilds an identical streamed replica.
-			rep, rerr := shard.NewStreamedReplica(context.Background(), e.tiered, 1e-12, 0, 0)
-			if rerr != nil {
-				return nil, rerr
-			}
-			pool, err = remote.NewTieredPool(cfg, rep)
-		} else {
-			pool, err = remote.NewPool(cfg, e.matrix, 1e-12)
-		}
-		if err != nil {
-			return nil, err
-		}
-		coord, err := shard.NewWithWorkers(pool.Replica(), pool.Workers())
-		if err != nil {
-			pool.Close()
-			return nil, err
-		}
-		e.pool = pool
-		e.coord = coord
+		e.be = be
 	}
 	if ec.knownZeta > 0 {
 		sysOpts = append(sysOpts, WithZeta(ec.knownZeta))
 	}
 	sys, err := NewSystem(e.space, ec.links, sysOpts...)
 	if err != nil {
+		e.be.close()
 		return nil, err
 	}
 	e.sys = sys
@@ -529,79 +542,70 @@ func NewEngine(opts ...EngineOption) (*Engine, error) {
 // computeZeta is the engine's lazy metricity source, consulted by the
 // System on the first ζ access of each (in)validation cycle: the sampled
 // estimator above the approx threshold (iterated to the target precision
-// when one is set), the incremental tracker on mutation-tracking sessions,
-// the one-shot exact scan otherwise. Runs with System.metMu held, which
-// serializes tracker installation.
+// when one is set), the backend otherwise (see exact). Runs with
+// System.metMu held, which serializes tracker installation.
 func (e *Engine) computeZeta(ctx context.Context) (float64, error) {
-	if e.approxSamples > 0 {
-		var (
-			est core.SampledEstimate
-			err error
-		)
-		if e.targetEps > 0 {
-			est, err = core.ZetaSampledTarget(ctx, e.space, e.approxSamples, e.targetEps, rng.New(approxMetricitySeed))
-		} else {
-			est, err = core.ZetaSampledEstimateCtx(ctx, e.space, e.approxSamples, rng.New(approxMetricitySeed))
-		}
-		if err != nil {
-			return 0, err
-		}
-		e.zetaSamples.Store(int64(est.Evaluated))
-		e.zetaEst.Store(&est)
-		return est.Value, nil
+	if e.approxSamples == 0 {
+		return e.exact(ctx, shard.Zeta, &e.zt)
 	}
-	if e.coord != nil {
-		if e.dynamic {
-			zt, err := e.coord.ZetaTracker(ctx)
-			if err != nil {
-				return 0, err
-			}
-			e.zt = zt
-			return zt.Zeta(), nil
-		}
-		return e.coord.Zeta(ctx)
+	var (
+		est core.SampledEstimate
+		err error
+	)
+	if e.targetEps > 0 {
+		est, err = core.ZetaSampledTarget(ctx, e.space, e.approxSamples, e.targetEps, rng.New(approxMetricitySeed))
+	} else {
+		est, err = core.ZetaSampledEstimateCtx(ctx, e.space, e.approxSamples, rng.New(approxMetricitySeed))
 	}
-	if e.dynamic {
-		zt, err := core.NewZetaTracker(ctx, e.matrix, 1e-12)
-		if err != nil {
-			return 0, err
-		}
-		e.zt = zt
-		return zt.Zeta(), nil
+	if err != nil {
+		return 0, err
 	}
-	return core.ZetaTolCtx(ctx, e.space, 1e-12)
+	e.zetaSamples.Store(int64(est.Evaluated))
+	e.zetaEst.Store(&est)
+	return est.Value, nil
 }
 
-// Shards returns the shard count of the session's row-range coordinator,
-// or 0 for an unsharded engine.
+// exact computes p on the backend: on a mutation-tracking session through
+// a fresh tracker, installed in *t, and by one max scan otherwise.
+func (e *Engine) exact(ctx context.Context, p shard.Param, t *shard.Tracker) (float64, error) {
+	if !e.dynamic {
+		return e.be.Max(ctx, p)
+	}
+	tr, v, err := e.be.Tracker(ctx, p)
+	if err != nil {
+		return 0, err
+	}
+	*t = tr
+	return v, nil
+}
+
+// Shards returns the shard count of the session's row-range coordinator
+// (WithShards or WithRemoteWorkers), or 0 for an unsharded engine.
 func (e *Engine) Shards() int {
-	if e.coord == nil {
+	if e.be == nil {
 		return 0
 	}
-	return e.coord.Shards()
+	return e.be.shards
 }
 
 // RemoteWorkers returns the number of remote worker slots the session
 // fans out to (WithRemoteWorkers), or 0 for a local engine.
 func (e *Engine) RemoteWorkers() int {
-	if e.pool == nil {
+	if e.be == nil || e.be.pool == nil {
 		return 0
 	}
-	return e.coord.Shards()
+	return e.be.shards
 }
 
 // Close releases the engine's external resources — the remote worker
 // connections and heartbeat monitor of a WithRemoteWorkers session. It is
-// a no-op for local engines. The engine must not be used after Close.
+// a no-op for local engines. The engine must not be used after Close: on
+// a remote session every later exact ζ/ϕ read or repair fails with an
+// error wrapping remote.ErrClosed instead of redialing the workers.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.pool == nil {
-		return nil
-	}
-	err := e.pool.Close()
-	e.pool = nil
-	return err
+	return e.be.close()
 }
 
 // Tiered reports whether the session runs on tiered row storage
@@ -711,13 +715,16 @@ func (e *Engine) PhiCtx(ctx context.Context) (float64, error) {
 	if e.phiOK {
 		return e.phi, nil
 	}
-	var vphi float64
-	switch {
-	case e.approxSamples > 0:
-		var (
-			est core.SampledEstimate
-			err error
-		)
+	var (
+		vphi float64
+		err  error
+	)
+	if e.approxSamples == 0 {
+		if vphi, err = e.exact(ctx, shard.Varphi, &e.vt); err != nil {
+			return 0, err
+		}
+	} else {
+		var est core.SampledEstimate
 		if e.targetEps > 0 {
 			est, err = core.VarphiSampledTarget(ctx, e.space, e.approxSamples, e.targetEps, rng.New(approxMetricitySeed+1))
 		} else {
@@ -728,32 +735,6 @@ func (e *Engine) PhiCtx(ctx context.Context) (float64, error) {
 		}
 		e.phiEst = &est
 		vphi = est.Value
-	case e.coord != nil && e.dynamic:
-		vt, err := e.coord.VarphiTracker(ctx)
-		if err != nil {
-			return 0, err
-		}
-		e.vt = vt
-		vphi = vt.Varphi()
-	case e.coord != nil:
-		var err error
-		vphi, err = e.coord.Varphi(ctx)
-		if err != nil {
-			return 0, err
-		}
-	case e.dynamic:
-		vt, err := core.NewVarphiTracker(ctx, e.matrix)
-		if err != nil {
-			return 0, err
-		}
-		e.vt = vt
-		vphi = vt.Varphi()
-	default:
-		var err error
-		vphi, err = core.VarphiCtx(ctx, e.space)
-		if err != nil {
-			return 0, err
-		}
 	}
 	e.phi = math.Log2(vphi)
 	e.phiOK = true

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 
+	"decaynet/internal/shard"
 	"decaynet/internal/shard/remote"
 )
 
@@ -16,10 +17,10 @@ var WithRemoteTweak = withRemoteTweak
 // RemotePoolStats returns the recovery counters of a WithRemoteWorkers
 // session (zero for local engines).
 func (e *Engine) RemotePoolStats() remote.Stats {
-	if e.pool == nil {
+	if e.be == nil || e.be.pool == nil {
 		return remote.Stats{}
 	}
-	return e.pool.Stats()
+	return e.be.pool.Stats()
 }
 
 // CoordinatorScans reruns the session coordinator's exact ζ and ϕ max
@@ -30,13 +31,13 @@ func (e *Engine) RemotePoolStats() remote.Stats {
 func (e *Engine) CoordinatorScans(ctx context.Context) (zeta, phi float64, err error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.coord == nil {
+	if e.be == nil {
 		return 0, 0, errors.New("decaynet: session has no shard coordinator")
 	}
-	if zeta, err = e.coord.Zeta(ctx); err != nil {
+	if zeta, err = e.be.Max(ctx, shard.Zeta); err != nil {
 		return 0, 0, err
 	}
-	varphi, err := e.coord.Varphi(ctx)
+	varphi, err := e.be.Max(ctx, shard.Varphi)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -59,26 +59,39 @@ func poolRoute(t *testing.T, m *core.Matrix) (*core.ZetaTracker, *core.VarphiTra
 	}
 }
 
-func shardRoute(t *testing.T, m *core.Matrix) (*core.ZetaTracker, *core.VarphiTracker, func([]int, bool)) {
-	ctx := context.Background()
-	c, err := shard.New(m, bandTol, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zt, err := c.ZetaTracker(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vt, err := c.VarphiTracker(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return zt, vt, func(dirty []int, rowsOnly bool) {
-		if _, err := c.RepairZeta(ctx, zt, dirty, rowsOnly); err != nil {
+// coordRoute builds the trackers through a shard coordinator over m with
+// k in-process shard workers, or with none (k = 0): the unsharded
+// session's single worker on the pool.
+func coordRoute(k int) bandRoute {
+	return func(t *testing.T, m *core.Matrix) (*core.ZetaTracker, *core.VarphiTracker, func([]int, bool)) {
+		ctx := context.Background()
+		rep, err := shard.NewReplica(ctx, m, bandTol, 0, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.RepairVarphi(ctx, vt, dirty, rowsOnly); err != nil {
+		workers := make([]shard.Worker, k)
+		for i := range workers {
+			workers[i] = shard.NewLocalWorker(rep)
+		}
+		c, err := shard.New(rep, workers)
+		if err != nil {
 			t.Fatal(err)
+		}
+		zt, _, err := c.Tracker(ctx, shard.Zeta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vt, _, err := c.Tracker(ctx, shard.Varphi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return zt.(*core.ZetaTracker), vt.(*core.VarphiTracker), func(dirty []int, rowsOnly bool) {
+			if _, err := c.Repair(ctx, shard.Zeta, zt, dirty, rowsOnly); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Repair(ctx, shard.Varphi, vt, dirty, rowsOnly); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -99,7 +112,7 @@ func TestTrackerBandComplete(t *testing.T) {
 	routes := []struct {
 		name  string
 		build bandRoute
-	}{{"pool", poolRoute}, {"shard", shardRoute}}
+	}{{"pool", poolRoute}, {"shard", coordRoute(3)}, {"unsharded", coordRoute(0)}}
 	const n = 40
 	for _, rt := range routes {
 		t.Run(rt.name, func(t *testing.T) {
@@ -169,12 +182,12 @@ func TestTrackerBandComplete(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantZ, err := zs.CollectRange(ctx, 0, n, zt.Floor())
+				wantZ, err := zs.CollectRange(ctx, 0, n, zt.Floor(), false)
 				if err != nil {
 					t.Fatal(err)
 				}
 				checkBand(t, "zeta", zt.Band(), wantZ)
-				wantV, err := core.NewVarphiScanState(m).CollectRange(ctx, 0, n, vt.Floor())
+				wantV, err := core.NewVarphiScanState(m).CollectRange(ctx, 0, n, vt.Floor(), false)
 				if err != nil {
 					t.Fatal(err)
 				}

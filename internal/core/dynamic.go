@@ -98,12 +98,13 @@ func ZetaBandFloor(zmax float64) float64 { return bandFloor(zmax, DefaultZetaFlo
 func VarphiBandFloor(vmax float64) float64 { return bandFloor(vmax, VarphiFloor) }
 
 // bandState is a scan state as a tracker drives it: ZetaScanState or
-// VarphiScanState.
+// VarphiScanState, scanned on the pool.
 type bandState interface {
 	N() int
 	PatchRows(dirty []int, rowsOnly bool)
-	fullMax(ctx context.Context) (float64, error)
-	poolBand(ctx context.Context, floor float64, row func(scanRun, int)) ([]BandTriplet, error)
+	MaxRange(ctx context.Context, xlo, xhi int, sym, pool bool) (float64, error)
+	CollectRange(ctx context.Context, xlo, xhi int, floor float64, pool bool) ([]BandTriplet, error)
+	RepairRange(ctx context.Context, xlo, xhi int, dirty []int, mask []bool, rowsOnly bool, floor float64, pool bool) ([]BandTriplet, error)
 }
 
 // tracker is the candidate-band machinery ZetaTracker and VarphiTracker
@@ -176,7 +177,7 @@ func (t *tracker) Repair(dirty []int, rowsOnly bool) float64 {
 	if mask == nil {
 		return t.max
 	}
-	band, _ := t.st.poolBand(context.Background(), t.floor, repairRow(dirty, mask, rowsOnly))
+	band, _ := t.st.RepairRange(context.Background(), 0, t.st.N(), dirty, mask, rowsOnly, t.floor, true)
 	if _, drained := t.AbsorbRepair(band); drained {
 		t.rescan(context.Background())
 	}
@@ -186,13 +187,13 @@ func (t *tracker) Repair(dirty []int, rowsOnly bool) float64 {
 // rescan runs the full pass: the exact maximum, then the collection of
 // every triplet above the band floor a margin below it.
 func (t *tracker) rescan(ctx context.Context) error {
-	max, err := t.st.fullMax(ctx)
+	max, err := t.st.MaxRange(ctx, 0, t.st.N(), false, true)
 	if err != nil {
 		return err
 	}
 	var band []BandTriplet
 	if floor := bandFloor(max, t.universal); max > t.universal {
-		if band, err = t.st.poolBand(ctx, floor, collectRow); err != nil {
+		if band, err = t.st.CollectRange(ctx, 0, t.st.N(), floor, true); err != nil {
 			return err
 		}
 	}

@@ -76,8 +76,16 @@ func ZetaTol(d Space, tol float64) float64 {
 // no dense copy is made unless G's exponents leave the float64 range and
 // the screen is off. Logarithms are taken only for surviving triplets.
 func ZetaTolCtx(ctx context.Context, d Space, tol float64) (float64, error) {
-	n := d.N()
-	if n < 3 {
+	return ZetaTolRangeCtx(ctx, d, tol, 0, d.N(), KnownSymmetric(d))
+}
+
+// ZetaTolRangeCtx is ZetaTolCtx over the ordered triplets whose first
+// index lies in [xlo, xhi): it returns the larger of the seed and their
+// maximum, so the max-merge over a row partition is ZetaTolCtx's value.
+// sym certifies exact decay symmetry (y starts at x+1). Like ZetaTolCtx
+// it builds G at the seed on the pool and keeps nothing after the scan.
+func ZetaTolRangeCtx(ctx context.Context, d Space, tol float64, xlo, xhi int, sym bool) (float64, error) {
+	if d.N() < 3 || xlo >= xhi {
 		return DefaultZetaFloor, ctx.Err()
 	}
 	k, seed, err := newZetaKernel(ctx, d, tol)
@@ -90,7 +98,7 @@ func ZetaTolCtx(ctx context.Context, d Space, tol float64) (float64, error) {
 	if k.g == nil && k.m == nil {
 		k.m = Dense(d) // no screen: every surviving triplet reads the rows
 	}
-	return poolMax(ctx, k, seed, KnownSymmetric(d))
+	return poolMax(ctx, k, xlo, xhi, seed, sym)
 }
 
 // maxScreenExp bounds the exponents of G: 2^±1000 are normal float64s.
@@ -269,7 +277,7 @@ func VarphiCtx(ctx context.Context, d Space) (float64, error) {
 		return VarphiFloor, ctx.Err()
 	}
 	m := Dense(d)
-	return poolMax(ctx, &NewVarphiScanState(m).k, VarphiFloor, m.Symmetric())
+	return poolMax(ctx, &NewVarphiScanState(m).k, 0, m.N(), VarphiFloor, m.Symmetric())
 }
 
 // VarphiPerPair is the serial, per-element reference implementation of

@@ -197,11 +197,12 @@ func (s *ZetaScanState) PatchRows(dirty []int, rowsOnly bool) {
 // the shard-sized partial reduction. The seed is a value the space
 // attains, so the max-merge over a row partition equals the full scan,
 // and starting there keeps the linear screen on from the first row. The
-// scan is serial (one shard = one goroutine; parallelism comes from the
-// number of shards) and polls ctx per row. sym certifies exact decay
-// symmetry: the y-loop then starts at x+1, halving the triplet set exactly
-// as ZetaTol does.
-func (s *ZetaScanState) MaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
+// scan runs on the calling goroutine (one shard = one goroutine;
+// parallelism comes from the number of shards), or with pool over
+// (x, partner)-tiles on the shared worker pool, and polls ctx per row.
+// sym certifies exact decay symmetry: the y-loop then starts at x+1,
+// halving the triplet set exactly as ZetaTol does.
+func (s *ZetaScanState) MaxRange(ctx context.Context, xlo, xhi int, sym, pool bool) (float64, error) {
 	if s.k.n < 3 || xlo >= xhi {
 		return DefaultZetaFloor, ctx.Err()
 	}
@@ -209,19 +210,20 @@ func (s *ZetaScanState) MaxRange(ctx context.Context, xlo, xhi int, sym bool) (f
 	if err != nil {
 		return 0, err
 	}
-	return maxRange(ctx, k, xlo, xhi, sym, seed, nil)
+	return scanMax(ctx, k, xlo, xhi, sym, seed, pool)
 }
 
 // CollectRange returns every ordered triplet with first index in
 // [xlo, xhi) whose ζ exceeds floor — the shard-sized band-collection phase.
 // Concatenating the ranges of a partition yields exactly the candidate set
 // a full collection pass produces (order aside, which no consumer depends
-// on). ctx is polled per row.
-func (s *ZetaScanState) CollectRange(ctx context.Context, xlo, xhi int, floor float64) ([]BandTriplet, error) {
+// on). ctx is polled per row; pool spreads the rows over the shared
+// worker pool.
+func (s *ZetaScanState) CollectRange(ctx context.Context, xlo, xhi int, floor float64, pool bool) ([]BandTriplet, error) {
 	if s.k.n < 3 {
 		return nil, ctx.Err()
 	}
-	return bandRange(ctx, s.bandKernel(floor), xlo, xhi, floor, collectRow)
+	return scanBand(ctx, s.bandKernel(floor), xlo, xhi, floor, collectRow, pool)
 }
 
 // RepairRange re-scans the triplets with first index in [xlo, xhi) whose
@@ -232,26 +234,11 @@ func (s *ZetaScanState) CollectRange(ctx context.Context, xlo, xhi int, floor fl
 // x rescans just its dirty-z pairs and skips the (x, y ∈ M, z ∉ M) slice,
 // whose values are unchanged; otherwise every dirty-incident triplet is
 // rescanned. Dirty rows always rescan in full.
-func (s *ZetaScanState) RepairRange(ctx context.Context, xlo, xhi int, dirty []int, mask []bool, rowsOnly bool, floor float64) ([]BandTriplet, error) {
+func (s *ZetaScanState) RepairRange(ctx context.Context, xlo, xhi int, dirty []int, mask []bool, rowsOnly bool, floor float64, pool bool) ([]BandTriplet, error) {
 	if s.k.n < 3 {
 		return nil, ctx.Err()
 	}
-	return bandRange(ctx, s.bandKernel(floor), xlo, xhi, floor, repairRow(dirty, mask, rowsOnly))
-}
-
-// fullMax is the exact ζ over every ordered triplet, on the pool.
-func (s *ZetaScanState) fullMax(ctx context.Context) (float64, error) {
-	k, seed, err := s.maxKernel(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return poolMax(ctx, k, seed, false)
-}
-
-// poolBand runs row over every row at floor on the pool (the tracker's
-// rescan collection and repair).
-func (s *ZetaScanState) poolBand(ctx context.Context, floor float64, row func(scanRun, int)) ([]BandTriplet, error) {
-	return poolBand(ctx, s.bandKernel(floor), floor, row)
+	return scanBand(ctx, s.bandKernel(floor), xlo, xhi, floor, repairRow(dirty, mask, rowsOnly), pool)
 }
 
 // zetaKernel is what the ζ pair kernel reads: the decays — a *Matrix read
@@ -711,20 +698,20 @@ func (s *VarphiScanState) PatchRows(dirty []int, rowsOnly bool) {
 // [xlo, xhi) — ϕ's shard-sized partial reduction (see
 // ZetaScanState.MaxRange). sym halves the scan on exactly symmetric spaces
 // (z starts at x+1, as in Varphi).
-func (s *VarphiScanState) MaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
+func (s *VarphiScanState) MaxRange(ctx context.Context, xlo, xhi int, sym, pool bool) (float64, error) {
 	if s.k.n < 3 || xlo >= xhi {
 		return VarphiFloor, ctx.Err()
 	}
-	return maxRange(ctx, &s.k, xlo, xhi, sym, VarphiFloor, nil)
+	return scanMax(ctx, &s.k, xlo, xhi, sym, VarphiFloor, pool)
 }
 
 // CollectRange returns every triplet with first index in [xlo, xhi) whose
 // ϕ ratio exceeds floor (see ZetaScanState.CollectRange).
-func (s *VarphiScanState) CollectRange(ctx context.Context, xlo, xhi int, floor float64) ([]BandTriplet, error) {
+func (s *VarphiScanState) CollectRange(ctx context.Context, xlo, xhi int, floor float64, pool bool) ([]BandTriplet, error) {
 	if s.k.n < 3 {
 		return nil, ctx.Err()
 	}
-	return bandRange(ctx, &s.k, xlo, xhi, floor, collectRow)
+	return scanBand(ctx, &s.k, xlo, xhi, floor, collectRow, pool)
 }
 
 // RepairRange re-scans the ϕ triplets with first index in [xlo, xhi)
@@ -732,21 +719,11 @@ func (s *VarphiScanState) CollectRange(ctx context.Context, xlo, xhi int, floor 
 // (see ZetaScanState.RepairRange). A ϕ triplet (x, y, z) reads rows x and
 // y only, so under rowsOnly a clean row x rescans just its dirty-y pairs
 // and skips the (x, y ∉ M, z ∈ M) slice.
-func (s *VarphiScanState) RepairRange(ctx context.Context, xlo, xhi int, dirty []int, mask []bool, rowsOnly bool, floor float64) ([]BandTriplet, error) {
+func (s *VarphiScanState) RepairRange(ctx context.Context, xlo, xhi int, dirty []int, mask []bool, rowsOnly bool, floor float64, pool bool) ([]BandTriplet, error) {
 	if s.k.n < 3 {
 		return nil, ctx.Err()
 	}
-	return bandRange(ctx, &s.k, xlo, xhi, floor, repairRow(dirty, mask, rowsOnly))
-}
-
-// fullMax is the exact ϕ over every triplet, on the pool.
-func (s *VarphiScanState) fullMax(ctx context.Context) (float64, error) {
-	return poolMax(ctx, &s.k, VarphiFloor, false)
-}
-
-// poolBand runs row over every row at floor on the pool.
-func (s *VarphiScanState) poolBand(ctx context.Context, floor float64, row func(scanRun, int)) ([]BandTriplet, error) {
-	return poolBand(ctx, &s.k, floor, row)
+	return scanBand(ctx, &s.k, xlo, xhi, floor, repairRow(dirty, mask, rowsOnly), pool)
 }
 
 // varphiKernel is what the ϕ pair kernel reads: the decays (a *Matrix, or
@@ -954,17 +931,26 @@ func maxRange(ctx context.Context, k scanKernel, xlo, xhi int, sym bool, start f
 }
 
 // poolMax returns the maximum of start, which the scan must attain, and
-// every triplet, over (x, partner)-tiles on the pool.
-func poolMax(ctx context.Context, k scanKernel, start float64, sym bool) (float64, error) {
+// the triplets with first index in [xlo, xhi), over (x, partner)-tiles on
+// the pool.
+func poolMax(ctx context.Context, k scanKernel, xlo, xhi int, start float64, sym bool) (float64, error) {
 	n := k.size()
 	best := newSharedMax(start)
-	err := par.ForTilesCtx(ctx, n, tripletTile(n), func(xlo, xhi, lo, hi int) {
+	err := par.ForTilesRectCtx(ctx, xlo, xhi, 0, n, tripletTile(n), func(xlo, xhi, lo, hi int) {
 		maxRows(ctx, k.newRun(best.load(), false, nil), xlo, xhi, lo, hi, sym, best)
 	})
 	if err != nil {
 		return 0, err
 	}
 	return best.load(), nil
+}
+
+// scanMax is maxRange (without a pager) or, with pool, poolMax.
+func scanMax(ctx context.Context, k scanKernel, xlo, xhi int, sym bool, start float64, pool bool) (float64, error) {
+	if pool {
+		return poolMax(ctx, k, xlo, xhi, start, sym)
+	}
+	return maxRange(ctx, k, xlo, xhi, sym, start, nil)
 }
 
 // bandRange runs row over the rows [xlo, xhi) on one band run at floor and
@@ -981,14 +967,18 @@ func bandRange(ctx context.Context, k scanKernel, xlo, xhi int, floor float64, r
 	return band, nil
 }
 
-// poolBand is bandRange over every row, on the pool.
-func poolBand(ctx context.Context, k scanKernel, floor float64, row func(scanRun, int)) ([]BandTriplet, error) {
+// scanBand is bandRange or, with pool, bandRange over chunks of the rows
+// on the pool.
+func scanBand(ctx context.Context, k scanKernel, xlo, xhi int, floor float64, row func(scanRun, int), pool bool) ([]BandTriplet, error) {
+	if !pool {
+		return bandRange(ctx, k, xlo, xhi, floor, row)
+	}
 	var (
 		mu   sync.Mutex
 		band []BandTriplet
 	)
-	err := par.ForChunkedCtx(ctx, k.size(), func(lo, hi int) {
-		part, _ := bandRange(ctx, k, lo, hi, floor, row)
+	err := par.ForChunkedCtx(ctx, xhi-xlo, func(lo, hi int) {
+		part, _ := bandRange(ctx, k, xlo+lo, xlo+hi, floor, row)
 		mu.Lock()
 		band = append(band, part...)
 		mu.Unlock()

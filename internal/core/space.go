@@ -151,13 +151,17 @@ func NewMatrix(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
+// maxFlatSide is the largest n whose n² fits an int: past it n*n wraps,
+// and a short buffer could pass the length check.
+var maxFlatSide = int(math.Sqrt(math.MaxInt))
+
 // NewMatrixFlat builds a decay space adopting the row-major flat buffer
 // (length n²) without copying — the constructor for pipelines that already
 // assembled a dense grid and cannot afford a second n² allocation (sharded
 // trace cleaning). Validation matches NewMatrix; diagonal entries are
 // forced to zero. The caller must not retain flat.
 func NewMatrixFlat(n int, flat []float64) (*Matrix, error) {
-	if n < 0 || len(flat) != n*n {
+	if n < 0 || n > maxFlatSide || len(flat) != n*n {
 		return nil, fmt.Errorf("%w: %d entries for %d nodes", ErrShape, len(flat), n)
 	}
 	m := &Matrix{n: n, f: flat}

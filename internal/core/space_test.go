@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strconv"
 	"testing"
 
 	"decaynet/internal/geom"
@@ -45,6 +46,17 @@ func TestNewMatrixValidation(t *testing.T) {
 				t.Fatalf("error = %v, want %v", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestNewMatrixFlatRejectsOverflowingSide: a side whose square wraps an
+// int — 2^(IntSize/2) wraps to exactly zero — must fail the shape check,
+// not pass it with an empty buffer and slice out of range.
+func TestNewMatrixFlatRejectsOverflowingSide(t *testing.T) {
+	for _, n := range []int{-1, maxFlatSide + 1, 1 << (strconv.IntSize / 2)} {
+		if _, err := NewMatrixFlat(n, nil); !errors.Is(err, ErrShape) {
+			t.Fatalf("NewMatrixFlat(%d, nil) error = %v, want ErrShape", n, err)
+		}
 	}
 }
 

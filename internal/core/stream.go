@@ -239,33 +239,57 @@ func NewStreamScanFrom(rs RowSpace, tol float64, tileRows, maxTiles int, ex Stre
 
 // ZetaMaxRange returns the larger of the scan's seed and the exact ζ
 // maximum over the ordered triplets whose first index lies in [xlo, xhi)
-// (see ZetaScanState.MaxRange). It runs the ζ pair kernel on G's rows at ζ_G = the start
-// value, paged through a private RowPager and transformed as their tiles
-// load, and reads the decays of the few surviving triplets through F;
-// when G's exponents leave the float64 range it pages the decay rows
-// instead and runs without the linear screen. The screens and the solver
-// are the dense scans', so the max-merge over a row partition has
-// ZetaPerPair's bits. sym certifies exact decay symmetry (y starts at x+1).
-func (s *StreamScan) ZetaMaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
+// (see ZetaScanState.MaxRange). It runs the ζ pair kernel on G's rows at
+// ζ_G = the start value, paged through a private RowPager and transformed
+// as their tiles load, and reads the decays of the few surviving triplets
+// through F; when G's exponents leave the float64 range it pages the
+// decay rows instead and runs without the linear screen. The screens and
+// the solver are the dense scans', so the max-merge over a row partition
+// has ZetaPerPair's bits. sym certifies exact decay symmetry (y starts at
+// x+1). With pool the range is split into chunks scanned concurrently on
+// the shared worker pool, each through its own pagers.
+func (s *StreamScan) ZetaMaxRange(ctx context.Context, xlo, xhi int, sym, pool bool) (float64, error) {
 	if s.n < 3 || xlo >= xhi {
 		return DefaultZetaFloor, ctx.Err()
 	}
-	k := baseZetaKernel(s.rs, s.tol)
-	k.lnMax, k.lnMin = s.logMax, s.logMin
-	if k.pageG(s.rs, s.tileRows, s.maxTiles, s.fMax, s.fMin, s.seed) {
-		return maxRange(ctx, k, xlo, xhi, sym, s.seed, nil)
-	}
-	return maxRange(ctx, k, xlo, xhi, sym, s.seed, NewRowPager(s.rs, s.tileRows, s.maxTiles, nil))
+	return chunkMax(ctx, xlo, xhi, pool, s.seed, func(lo, hi int) (float64, error) {
+		k := baseZetaKernel(s.rs, s.tol)
+		k.lnMax, k.lnMin = s.logMax, s.logMin
+		if k.pageG(s.rs, s.tileRows, s.maxTiles, s.fMax, s.fMin, s.seed) {
+			return maxRange(ctx, k, lo, hi, sym, s.seed, nil)
+		}
+		return maxRange(ctx, k, lo, hi, sym, s.seed, NewRowPager(s.rs, s.tileRows, s.maxTiles, nil))
+	})
 }
 
 // VarphiMaxRange returns the exact ϕ maximum over triplets with first index
 // in [xlo, xhi), running the ϕ pair kernel on paged decay rows — the ϕ
 // analogue of ZetaMaxRange. sym halves the scan on exactly symmetric
 // spaces (z starts at x+1).
-func (s *StreamScan) VarphiMaxRange(ctx context.Context, xlo, xhi int, sym bool) (float64, error) {
+func (s *StreamScan) VarphiMaxRange(ctx context.Context, xlo, xhi int, sym, pool bool) (float64, error) {
 	if s.n < 3 || xlo >= xhi {
 		return VarphiFloor, ctx.Err()
 	}
-	k := &varphiKernel{n: s.n, fMax: s.fMax, fMin: s.fMin}
-	return maxRange(ctx, k, xlo, xhi, sym, VarphiFloor, NewRowPager(s.rs, s.tileRows, s.maxTiles, nil))
+	return chunkMax(ctx, xlo, xhi, pool, VarphiFloor, func(lo, hi int) (float64, error) {
+		k := &varphiKernel{n: s.n, fMax: s.fMax, fMin: s.fMin}
+		return maxRange(ctx, k, lo, hi, sym, VarphiFloor, NewRowPager(s.rs, s.tileRows, s.maxTiles, nil))
+	})
+}
+
+// chunkMax returns scan(xlo, xhi) or, with pool, the larger of start and
+// scan over each chunk of [xlo, xhi), the chunks run on the pool.
+func chunkMax(ctx context.Context, xlo, xhi int, pool bool, start float64, scan func(lo, hi int) (float64, error)) (float64, error) {
+	if !pool {
+		return scan(xlo, xhi)
+	}
+	best := newSharedMax(start)
+	err := par.ForChunkedCtx(ctx, xhi-xlo, func(lo, hi int) {
+		if v, err := scan(xlo+lo, xlo+hi); err == nil {
+			best.raise(v)
+		}
+	})
+	if err != nil {
+		return 0, err
+	}
+	return best.load(), nil
 }

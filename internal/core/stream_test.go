@@ -121,30 +121,33 @@ func TestStreamScanMatchesDenseRanges(t *testing.T) {
 			ranges := [][2]int{{0, tc.n}, {0, tc.n / 3}, {tc.n / 3, tc.n - 1}, {tc.n - 1, tc.n}}
 			for _, r := range ranges {
 				exactZ, exactV := rangePerPair(m, r[0], r[1], tc.sym)
-				gotZ, err := ss.ZetaMaxRange(ctx, r[0], r[1], tc.sym)
-				if err != nil {
-					t.Fatalf("streamed ZetaMaxRange: %v", err)
-				}
-				if want := max(exactZ, ss.seed); gotZ != want {
-					t.Fatalf("ZetaMaxRange[%d,%d) = %v, want %v", r[0], r[1], gotZ, want)
-				}
-				denseZ, err := zs.MaxRange(ctx, r[0], r[1], tc.sym)
-				if err != nil {
-					t.Fatalf("dense ZetaMaxRange: %v", err)
-				}
-				if want := max(exactZ, zs.seed); denseZ != want {
-					t.Fatalf("dense ZetaMaxRange[%d,%d) = %v, want %v", r[0], r[1], denseZ, want)
-				}
-				for _, v := range []struct {
-					route string
-					f     func(context.Context, int, int, bool) (float64, error)
-				}{{"dense", vs.MaxRange}, {"streamed", ss.VarphiMaxRange}} {
-					got, err := v.f(ctx, r[0], r[1], tc.sym)
+				// Each range runs serially and on the pool.
+				for _, pool := range []bool{false, true} {
+					gotZ, err := ss.ZetaMaxRange(ctx, r[0], r[1], tc.sym, pool)
 					if err != nil {
-						t.Fatalf("%s VarphiMaxRange: %v", v.route, err)
+						t.Fatalf("streamed ZetaMaxRange: %v", err)
 					}
-					if got != exactV {
-						t.Fatalf("%s VarphiMaxRange[%d,%d) = %v, per-pair %v", v.route, r[0], r[1], got, exactV)
+					if want := max(exactZ, ss.seed); gotZ != want {
+						t.Fatalf("ZetaMaxRange[%d,%d) pool=%v = %v, want %v", r[0], r[1], pool, gotZ, want)
+					}
+					denseZ, err := zs.MaxRange(ctx, r[0], r[1], tc.sym, pool)
+					if err != nil {
+						t.Fatalf("dense ZetaMaxRange: %v", err)
+					}
+					if want := max(exactZ, zs.seed); denseZ != want {
+						t.Fatalf("dense ZetaMaxRange[%d,%d) pool=%v = %v, want %v", r[0], r[1], pool, denseZ, want)
+					}
+					for _, v := range []struct {
+						route string
+						f     func(context.Context, int, int, bool, bool) (float64, error)
+					}{{"dense", vs.MaxRange}, {"streamed", ss.VarphiMaxRange}} {
+						got, err := v.f(ctx, r[0], r[1], tc.sym, pool)
+						if err != nil {
+							t.Fatalf("%s VarphiMaxRange: %v", v.route, err)
+						}
+						if got != exactV {
+							t.Fatalf("%s VarphiMaxRange[%d,%d) pool=%v = %v, per-pair %v", v.route, r[0], r[1], pool, got, exactV)
+						}
 					}
 				}
 			}
@@ -152,14 +155,14 @@ func TestStreamScanMatchesDenseRanges(t *testing.T) {
 			cuts := []int{0, tc.n / 3, 2 * tc.n / 3, tc.n}
 			zMerged, vMerged := DefaultZetaFloor, VarphiFloor
 			for i := 0; i+1 < len(cuts); i++ {
-				z, err := ss.ZetaMaxRange(ctx, cuts[i], cuts[i+1], tc.sym)
+				z, err := ss.ZetaMaxRange(ctx, cuts[i], cuts[i+1], tc.sym, false)
 				if err != nil {
 					t.Fatalf("ZetaMaxRange: %v", err)
 				}
 				if z > zMerged {
 					zMerged = z
 				}
-				v, err := ss.VarphiMaxRange(ctx, cuts[i], cuts[i+1], tc.sym)
+				v, err := ss.VarphiMaxRange(ctx, cuts[i], cuts[i+1], tc.sym, false)
 				if err != nil {
 					t.Fatalf("VarphiMaxRange: %v", err)
 				}
@@ -209,10 +212,10 @@ func TestStreamScanDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStreamScan: %v", err)
 	}
-	if z, err := ss.ZetaMaxRange(ctx, 0, 2, false); err != nil || z != DefaultZetaFloor {
+	if z, err := ss.ZetaMaxRange(ctx, 0, 2, false, false); err != nil || z != DefaultZetaFloor {
 		t.Fatalf("ζ on n=2 = %v, %v; want floor", z, err)
 	}
-	if v, err := ss.VarphiMaxRange(ctx, 0, 2, false); err != nil || v != VarphiFloor {
+	if v, err := ss.VarphiMaxRange(ctx, 0, 2, false, false); err != nil || v != VarphiFloor {
 		t.Fatalf("ϕ on n=2 = %v, %v; want floor", v, err)
 	}
 	m := streamTestMatrix(t, 8, 3, false)
@@ -220,7 +223,7 @@ func TestStreamScanDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStreamScan: %v", err)
 	}
-	if z, err := ss.ZetaMaxRange(ctx, 5, 5, false); err != nil || z != DefaultZetaFloor {
+	if z, err := ss.ZetaMaxRange(ctx, 5, 5, false, true); err != nil || z != DefaultZetaFloor {
 		t.Fatalf("ζ on empty range = %v, %v; want floor", z, err)
 	}
 }
@@ -238,10 +241,12 @@ func TestStreamScanCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewStreamScan: %v", err)
 	}
-	if _, err := ss.ZetaMaxRange(cancelled, 0, 32, false); err != context.Canceled {
-		t.Fatalf("cancelled ZetaMaxRange err = %v", err)
-	}
-	if _, err := ss.VarphiMaxRange(cancelled, 0, 32, false); err != context.Canceled {
-		t.Fatalf("cancelled VarphiMaxRange err = %v", err)
+	for _, pool := range []bool{false, true} {
+		if _, err := ss.ZetaMaxRange(cancelled, 0, 32, false, pool); err != context.Canceled {
+			t.Fatalf("cancelled ZetaMaxRange pool=%v err = %v", pool, err)
+		}
+		if _, err := ss.VarphiMaxRange(cancelled, 0, 32, false, pool); err != context.Canceled {
+			t.Fatalf("cancelled VarphiMaxRange pool=%v err = %v", pool, err)
+		}
 	}
 }

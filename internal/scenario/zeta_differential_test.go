@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net"
 	"testing"
 
 	"decaynet/internal/core"
 	"decaynet/internal/rng"
 	"decaynet/internal/shard"
+	"decaynet/internal/shard/remote"
 )
 
 // differentialSpace is one row of the ζ and ϕ differential tables.
@@ -68,11 +70,53 @@ type route struct {
 	v    float64
 }
 
-// zetaRoutes returns every exact ζ route's value on space at tol: the
-// unsharded scan core.ZetaTolCtx, the shard.New coordinator,
-// NewZetaTracker's initial value and a row-paged streamed session
-// (shard.NewStreamed, tiny tiles so rows really page).
-func zetaRoutes(t *testing.T, space core.Space, tol float64) []route {
+// rowSource hides a matrix behind core.RowSpace, so shard.NewReplica
+// streams it.
+type rowSource struct{ core.RowSpace }
+
+// streamedSource returns space as a row source that shard.NewReplica
+// streams: a matrix is hidden behind rowSource, any other space keeps its
+// own type (and symmetry marker).
+func streamedSource(space core.Space) core.Space {
+	rs := core.Rows(space)
+	if _, dense := rs.(*core.Matrix); dense {
+		return rowSource{rs}
+	}
+	return rs
+}
+
+// loopbackWorkers serves two remote shard workers on loopback TCP for the
+// test's lifetime and returns their addresses.
+func loopbackWorkers(t *testing.T) []string {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	var addrs []string
+	done := make(chan struct{}, 2)
+	for range 2 {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, ln.Addr().String())
+		go func() {
+			remote.Serve(ctx, ln, remote.ServerOptions{})
+			done <- struct{}{}
+		}()
+	}
+	t.Cleanup(func() {
+		cancel()
+		<-done
+		<-done
+	})
+	return addrs
+}
+
+// backendRoutes returns p's value at tol on every executor the backend
+// runs: shard.New over three in-process shard workers and over the
+// unsharded session's single pool worker, a remote pool of the loopback
+// workers at addrs, a streamed replica (tiny tiles so rows really page),
+// and the tracker the coordinator seeds through in-process workers.
+func backendRoutes(t *testing.T, space core.Space, p shard.Param, tol float64, addrs []string) []route {
 	t.Helper()
 	ctx := context.Background()
 	must := func(v float64, err error) float64 {
@@ -82,25 +126,64 @@ func zetaRoutes(t *testing.T, space core.Space, tol float64) []route {
 		}
 		return v
 	}
+	coord := func(sp core.Space, k, tileRows int, workers func(*shard.Replica) []shard.Worker) *shard.Coordinator {
+		t.Helper()
+		rep, err := shard.NewReplica(ctx, sp, tol, tileRows, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ws []shard.Worker
+		if workers != nil {
+			ws = workers(rep)
+		}
+		for range k {
+			ws = append(ws, shard.NewLocalWorker(rep))
+		}
+		c, err := shard.New(rep, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
 	m := core.Dense(space)
-	coord, err := shard.New(m, tol, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracker, err := core.NewZetaTracker(ctx, m.Clone(), tol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamCoord, err := shard.NewStreamed(ctx, core.Rows(space), tol, 2, 7, 2)
+	var pool *remote.Pool
+	remoteCoord := coord(m.Clone(), 0, 0, func(rep *shard.Replica) []shard.Worker {
+		var err error
+		if pool, err = remote.NewPool(remote.PoolConfig{Addrs: addrs, PingInterval: -1}, rep); err != nil {
+			t.Fatal(err)
+		}
+		return pool.Workers()
+	})
+	defer pool.Close()
+	_, tracked, err := coord(m.Clone(), 3, 0, nil).Tracker(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return []route{
-		{"ZetaTolCtx", must(core.ZetaTolCtx(ctx, space, tol))},
-		{"shard.New", must(coord.Zeta(ctx))},
-		{"NewZetaTracker", tracker.Zeta()},
-		{"shard.NewStreamed", must(streamCoord.Zeta(ctx))},
+		{"shard.New", must(coord(m, 3, 0, nil).Max(ctx, p))},
+		{"unsharded", must(coord(m, 0, 0, nil).Max(ctx, p))},
+		{"remote", must(remoteCoord.Max(ctx, p))},
+		{"streamed", must(coord(streamedSource(space), 2, 7, nil).Max(ctx, p))},
+		{"Coordinator.Tracker", tracked},
 	}
+}
+
+// zetaRoutes returns every exact ζ route's value on space at tol: the
+// unsharded scan core.ZetaTolCtx, NewZetaTracker's initial value and the
+// backend's executors (backendRoutes).
+func zetaRoutes(t *testing.T, space core.Space, tol float64, addrs []string) []route {
+	t.Helper()
+	ctx := context.Background()
+	z, err := core.ZetaTolCtx(ctx, space, tol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracker, err := core.NewZetaTracker(ctx, core.Dense(space).Clone(), tol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]route{{"ZetaTolCtx", z}, {"NewZetaTracker", tracker.Zeta()}},
+		backendRoutes(t, space, shard.Zeta, tol, addrs)...)
 }
 
 // TestZetaDifferentialTable: on every space of the table, every exact ζ
@@ -111,10 +194,11 @@ func zetaRoutes(t *testing.T, space core.Space, tol float64) []route {
 // meets a tie first must not decide the result.
 func TestZetaDifferentialTable(t *testing.T) {
 	spaces := differentialSpaces(t)
+	addrs := loopbackWorkers(t)
 	for _, tc := range spaces {
 		for _, tol := range []float64{1e-12, 1e-3} {
 			want := core.ZetaPerPair(tc.space, tol)
-			for _, r := range zetaRoutes(t, tc.space, tol) {
+			for _, r := range zetaRoutes(t, tc.space, tol, addrs) {
 				if math.Float64bits(r.v) != math.Float64bits(want) {
 					t.Errorf("%s tol=%g: %s ζ %v, per-pair %v", tc.label, tol, r.name, r.v, want)
 				}
@@ -132,42 +216,26 @@ func TestZetaDifferentialTable(t *testing.T) {
 	}
 }
 
-// TestVarphiDifferentialTable is the ϕ table: core.Varphi, the shard.New
-// coordinator, NewVarphiTracker's initial value and a row-paged streamed
-// session return VarphiPerPair's bits on every space of the table.
+// TestVarphiDifferentialTable is the ϕ table: core.Varphi,
+// NewVarphiTracker's initial value and the backend's executors
+// (backendRoutes, with replicas at both tolerances of the ζ table) return
+// VarphiPerPair's bits on every space of the table.
 func TestVarphiDifferentialTable(t *testing.T) {
 	ctx := context.Background()
+	addrs := loopbackWorkers(t)
 	for _, tc := range differentialSpaces(t) {
 		want := core.VarphiPerPair(tc.space)
-		m := core.Dense(tc.space)
-		coord, err := shard.New(m, 1e-12, 3)
+		tracker, err := core.NewVarphiTracker(ctx, core.Dense(tc.space).Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharded, err := coord.Varphi(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tracker, err := core.NewVarphiTracker(ctx, m.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamCoord, err := shard.NewStreamed(ctx, core.Rows(tc.space), 1e-12, 2, 7, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed, err := streamCoord.Varphi(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range []route{
-			{"Varphi", core.Varphi(tc.space)},
-			{"shard.New", sharded},
-			{"NewVarphiTracker", tracker.Varphi()},
-			{"shard.NewStreamed", streamed},
-		} {
-			if math.Float64bits(r.v) != math.Float64bits(want) {
-				t.Errorf("%s: %s ϕ %v, per-pair %v", tc.label, r.name, r.v, want)
+		for _, tol := range []float64{1e-12, 1e-3} {
+			routes := append([]route{{"Varphi", core.Varphi(tc.space)}, {"NewVarphiTracker", tracker.Varphi()}},
+				backendRoutes(t, tc.space, shard.Varphi, tol, addrs)...)
+			for _, r := range routes {
+				if math.Float64bits(r.v) != math.Float64bits(want) {
+					t.Errorf("%s tol=%g: %s ϕ %v, per-pair %v", tc.label, tol, r.name, r.v, want)
+				}
 			}
 		}
 	}

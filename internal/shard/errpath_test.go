@@ -36,22 +36,13 @@ func (w *blockingWorker) block(ctx context.Context) error {
 	return ctx.Err()
 }
 
-func (w *blockingWorker) ZetaMax(ctx context.Context, _ shard.ScanJob) (shard.MaxResult, error) {
+func (w *blockingWorker) Max(ctx context.Context, _ shard.ScanJob) (shard.MaxResult, error) {
 	return shard.MaxResult{}, w.block(ctx)
 }
-func (w *blockingWorker) ZetaBand(ctx context.Context, _ shard.BandJob) (shard.BandResult, error) {
+func (w *blockingWorker) Band(ctx context.Context, _ shard.BandJob) (shard.BandResult, error) {
 	return shard.BandResult{}, w.block(ctx)
 }
-func (w *blockingWorker) ZetaRepair(ctx context.Context, _ shard.RepairJob) (shard.BandResult, error) {
-	return shard.BandResult{}, w.block(ctx)
-}
-func (w *blockingWorker) VarphiMax(ctx context.Context, _ shard.ScanJob) (shard.MaxResult, error) {
-	return shard.MaxResult{}, w.block(ctx)
-}
-func (w *blockingWorker) VarphiBand(ctx context.Context, _ shard.BandJob) (shard.BandResult, error) {
-	return shard.BandResult{}, w.block(ctx)
-}
-func (w *blockingWorker) VarphiRepair(ctx context.Context, _ shard.RepairJob) (shard.BandResult, error) {
+func (w *blockingWorker) Repair(ctx context.Context, _ shard.RepairJob) (shard.BandResult, error) {
 	return shard.BandResult{}, w.block(ctx)
 }
 
@@ -66,22 +57,13 @@ func (w *failingWorker) fail() error {
 	return w.err
 }
 
-func (w *failingWorker) ZetaMax(context.Context, shard.ScanJob) (shard.MaxResult, error) {
+func (w *failingWorker) Max(context.Context, shard.ScanJob) (shard.MaxResult, error) {
 	return shard.MaxResult{}, w.fail()
 }
-func (w *failingWorker) ZetaBand(context.Context, shard.BandJob) (shard.BandResult, error) {
+func (w *failingWorker) Band(context.Context, shard.BandJob) (shard.BandResult, error) {
 	return shard.BandResult{}, w.fail()
 }
-func (w *failingWorker) ZetaRepair(context.Context, shard.RepairJob) (shard.BandResult, error) {
-	return shard.BandResult{}, w.fail()
-}
-func (w *failingWorker) VarphiMax(context.Context, shard.ScanJob) (shard.MaxResult, error) {
-	return shard.MaxResult{}, w.fail()
-}
-func (w *failingWorker) VarphiBand(context.Context, shard.BandJob) (shard.BandResult, error) {
-	return shard.BandResult{}, w.fail()
-}
-func (w *failingWorker) VarphiRepair(context.Context, shard.RepairJob) (shard.BandResult, error) {
+func (w *failingWorker) Repair(context.Context, shard.RepairJob) (shard.BandResult, error) {
 	return shard.BandResult{}, w.fail()
 }
 
@@ -90,16 +72,11 @@ func (w *failingWorker) VarphiRepair(context.Context, shard.RepairJob) (shard.Ba
 // mid-scan — is cancelled promptly and EachRange returns the first error,
 // not a deadlock and not the sibling's ctx.Err.
 func TestEachRangeFirstErrorCancelsSiblings(t *testing.T) {
-	m := randMatrix(t, 16, 5)
-	coord, err := shard.New(m, 1e-12, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	entered := make(chan struct{})
 	cancelled := make(chan struct{})
 	boom := errors.New("shard 0 exploded")
 	start := time.Now()
-	err = coord.EachRange(context.Background(), m.N(), func(ctx context.Context, s int, r shard.Range) error {
+	err := shard.EachRange(context.Background(), shard.Split(16, 2), func(ctx context.Context, s int, r shard.Range) error {
 		if s == 1 {
 			close(entered)
 			<-ctx.Done()
@@ -123,8 +100,8 @@ func TestEachRangeFirstErrorCancelsSiblings(t *testing.T) {
 }
 
 // TestMaxPhaseFirstErrorCancelsSiblings drives the same property through
-// the public scan entry points with fake workers: a failing worker's
-// error surfaces from Coordinator.Zeta (and Varphi) while the blocking
+// the public scan entry point with fake workers: a failing worker's error
+// surfaces from Coordinator.Max, for ζ and for ϕ, while the blocking
 // sibling is unblocked by cancellation — asserted with real clocks, not
 // just eventually.
 func TestMaxPhaseFirstErrorCancelsSiblings(t *testing.T) {
@@ -132,27 +109,21 @@ func TestMaxPhaseFirstErrorCancelsSiblings(t *testing.T) {
 	boom := errors.New("worker down")
 	for _, tc := range []struct {
 		name string
-		call func(ctx context.Context, c *shard.Coordinator) error
-	}{
-		{"zeta", func(ctx context.Context, c *shard.Coordinator) error {
-			_, err := c.Zeta(ctx)
-			return err
-		}},
-		{"varphi", func(ctx context.Context, c *shard.Coordinator) error {
-			_, err := c.Varphi(ctx)
-			return err
-		}},
-	} {
+		p    shard.Param
+	}{{"zeta", shard.Zeta}, {"varphi", shard.Varphi}} {
 		t.Run(tc.name, func(t *testing.T) {
 			blocker := newBlockingWorker()
 			failer := &failingWorker{after: blocker.entered, err: boom}
-			rep := shard.NewReplica(m.Clone(), 1e-12)
-			coord, err := shard.NewWithWorkers(rep, []shard.Worker{failer, blocker})
+			rep, err := shard.NewReplica(context.Background(), m.Clone(), 1e-12, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coord, err := shard.New(rep, []shard.Worker{failer, blocker})
 			if err != nil {
 				t.Fatal(err)
 			}
 			start := time.Now()
-			err = tc.call(context.Background(), coord)
+			_, err = coord.Max(context.Background(), tc.p)
 			if !errors.Is(err, boom) {
 				t.Fatalf("%s error = %v, want the failing worker's error", tc.name, err)
 			}
@@ -168,16 +139,28 @@ func TestMaxPhaseFirstErrorCancelsSiblings(t *testing.T) {
 	}
 }
 
-// TestNewWithWorkersValidation covers the constructor's error paths.
-func TestNewWithWorkersValidation(t *testing.T) {
-	if _, err := shard.NewWithWorkers(nil, []shard.Worker{newBlockingWorker()}); err == nil {
+// TestNewValidation covers the constructor: a nil replica is rejected,
+// no workers means the unsharded session's single pool worker, and an
+// explicit set gets one row range per worker.
+func TestNewValidation(t *testing.T) {
+	if _, err := shard.New(nil, []shard.Worker{newBlockingWorker()}); err == nil {
 		t.Fatal("nil replica accepted")
 	}
-	rep := shard.NewReplica(randMatrix(t, 4, 1), 1e-12)
-	if _, err := shard.NewWithWorkers(rep, nil); err == nil {
-		t.Fatal("empty worker set accepted")
+	rep, err := shard.NewReplica(context.Background(), randMatrix(t, 4, 1), 1e-12, 0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	coord, err := shard.NewWithWorkers(rep, []shard.Worker{newBlockingWorker(), newBlockingWorker()})
+	if _, err := shard.NewReplica(context.Background(), nil, 1e-12, 0, 0); err == nil {
+		t.Fatal("nil space accepted")
+	}
+	unsharded, err := shard.New(rep, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unsharded.Shards() != 1 {
+		t.Fatalf("unsharded Shards() = %d, want 1", unsharded.Shards())
+	}
+	coord, err := shard.New(rep, []shard.Worker{newBlockingWorker(), newBlockingWorker()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,44 +239,23 @@ func (c *Client) version() uint64 {
 	return c.ver()
 }
 
-// ZetaMax implements shard.Worker.
-func (c *Client) ZetaMax(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
+// Max implements shard.Worker.
+func (c *Client) Max(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
 	var res shard.MaxResult
-	err := c.call(ctx, methodZetaMax, c.version(), &job, &res)
+	err := c.call(ctx, methodMax, c.version(), &job, &res)
 	return res, err
 }
 
-// ZetaBand implements shard.Worker.
-func (c *Client) ZetaBand(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
+// Band implements shard.Worker.
+func (c *Client) Band(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
 	var res shard.BandResult
-	err := c.call(ctx, methodZetaBand, c.version(), &job, &res)
+	err := c.call(ctx, methodBand, c.version(), &job, &res)
 	return res, err
 }
 
-// ZetaRepair implements shard.Worker.
-func (c *Client) ZetaRepair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
+// Repair implements shard.Worker.
+func (c *Client) Repair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
 	var res shard.BandResult
-	err := c.call(ctx, methodZetaRepair, c.version(), &job, &res)
-	return res, err
-}
-
-// VarphiMax implements shard.Worker.
-func (c *Client) VarphiMax(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
-	var res shard.MaxResult
-	err := c.call(ctx, methodVarphiMax, c.version(), &job, &res)
-	return res, err
-}
-
-// VarphiBand implements shard.Worker.
-func (c *Client) VarphiBand(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
-	var res shard.BandResult
-	err := c.call(ctx, methodVarphiBand, c.version(), &job, &res)
-	return res, err
-}
-
-// VarphiRepair implements shard.Worker.
-func (c *Client) VarphiRepair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
-	var res shard.BandResult
-	err := c.call(ctx, methodVarphiRepair, c.version(), &job, &res)
+	err := c.call(ctx, methodRepair, c.version(), &job, &res)
 	return res, err
 }

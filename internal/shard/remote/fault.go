@@ -111,46 +111,25 @@ func (t *faultTransport) fault(ctx context.Context) (ok bool, err error) {
 	return true, nil
 }
 
-func (t *faultTransport) ZetaMax(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
+func (t *faultTransport) Max(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
 	if ok, err := t.fault(ctx); !ok {
 		return shard.MaxResult{}, err
 	}
-	return t.inner.ZetaMax(ctx, job)
+	return t.inner.Max(ctx, job)
 }
 
-func (t *faultTransport) ZetaBand(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
+func (t *faultTransport) Band(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
 	if ok, err := t.fault(ctx); !ok {
 		return shard.BandResult{}, err
 	}
-	return t.inner.ZetaBand(ctx, job)
+	return t.inner.Band(ctx, job)
 }
 
-func (t *faultTransport) ZetaRepair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
+func (t *faultTransport) Repair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
 	if ok, err := t.fault(ctx); !ok {
 		return shard.BandResult{}, err
 	}
-	return t.inner.ZetaRepair(ctx, job)
-}
-
-func (t *faultTransport) VarphiMax(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
-	if ok, err := t.fault(ctx); !ok {
-		return shard.MaxResult{}, err
-	}
-	return t.inner.VarphiMax(ctx, job)
-}
-
-func (t *faultTransport) VarphiBand(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
-	if ok, err := t.fault(ctx); !ok {
-		return shard.BandResult{}, err
-	}
-	return t.inner.VarphiBand(ctx, job)
-}
-
-func (t *faultTransport) VarphiRepair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
-	if ok, err := t.fault(ctx); !ok {
-		return shard.BandResult{}, err
-	}
-	return t.inner.VarphiRepair(ctx, job)
+	return t.inner.Repair(ctx, job)
 }
 
 func (t *faultTransport) Sync(ctx context.Context, snap SyncJob) error {

@@ -9,8 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"decaynet/internal/core"
 	"decaynet/internal/shard"
+	"decaynet/internal/tier"
 )
 
 // PoolConfig parameterizes a remote worker pool. The zero value of every
@@ -48,53 +48,34 @@ type PoolConfig struct {
 	Logf func(format string, args ...any)
 }
 
-func (c *PoolConfig) jobTimeout() time.Duration {
-	if c.JobTimeout > 0 {
-		return c.JobTimeout
+// setDefaults replaces every unset field with its default.
+func (c *PoolConfig) setDefaults() {
+	if c.Dial == nil {
+		c.Dial = func(addr string, ver func() uint64) (Transport, error) {
+			return Dial(addr, DialOptions{Version: ver})
+		}
 	}
-	return 2 * time.Minute
-}
-
-func (c *PoolConfig) maxAttempts() int {
-	if c.MaxAttempts > 0 {
-		return c.MaxAttempts
+	if c.JobTimeout <= 0 {
+		c.JobTimeout = 2 * time.Minute
 	}
-	return 3
-}
-
-func (c *PoolConfig) backoffBase() time.Duration {
-	if c.BackoffBase > 0 {
-		return c.BackoffBase
+	if c.MaxAttempts <= 0 {
+		c.MaxAttempts = 3
 	}
-	return 50 * time.Millisecond
-}
-
-func (c *PoolConfig) backoffMax() time.Duration {
-	if c.BackoffMax > 0 {
-		return c.BackoffMax
+	if c.BackoffBase <= 0 {
+		c.BackoffBase = 50 * time.Millisecond
 	}
-	return 2 * time.Second
-}
-
-func (c *PoolConfig) pingInterval() time.Duration {
-	if c.PingInterval != 0 {
-		return c.PingInterval
+	if c.BackoffMax <= 0 {
+		c.BackoffMax = 2 * time.Second
 	}
-	return 5 * time.Second
-}
-
-func (c *PoolConfig) pingTimeout() time.Duration {
-	if c.PingTimeout > 0 {
-		return c.PingTimeout
+	if c.PingInterval == 0 {
+		c.PingInterval = 5 * time.Second
 	}
-	return 2 * time.Second
-}
-
-func (c *PoolConfig) deadAfterMisses() int {
-	if c.DeadAfterMisses > 0 {
-		return c.DeadAfterMisses
+	if c.PingTimeout <= 0 {
+		c.PingTimeout = 2 * time.Second
 	}
-	return 2
+	if c.DeadAfterMisses <= 0 {
+		c.DeadAfterMisses = 2
+	}
 }
 
 func (c *PoolConfig) logf(format string, args ...any) {
@@ -149,12 +130,12 @@ type member struct {
 // by row range.
 type Pool struct {
 	cfg     PoolConfig
-	tol     float64
 	rep     *shard.Replica
 	local   shard.Worker
 	snapFn  func(version uint64) SyncJob
 	version atomic.Uint64
 	members []*member
+	closed  atomic.Bool
 
 	deaths     atomic.Uint64
 	revivals   atomic.Uint64
@@ -169,40 +150,35 @@ type Pool struct {
 // errMemberDead marks a member that exhausted its attempt budget.
 var errMemberDead = errors.New("remote: worker declared dead")
 
+// errPoolClosed fails every job on a closed pool: a closed session must
+// neither redial its workers nor fall back to computing locally.
+var errPoolClosed = fmt.Errorf("remote: pool closed: %w", ErrClosed)
+
 // NewPool dials and syncs every configured worker, strictly: a worker
 // that cannot be brought to the current version at construction fails the
-// pool (later failures degrade gracefully instead). m is the session's
-// dense space — the pool snapshots it for Sync handshakes and scans it
-// directly on local fallback — and tol the ζ bisection tolerance every
-// replica must share.
-func NewPool(cfg PoolConfig, m *core.Matrix, tol float64) (*Pool, error) {
-	rep := shard.NewReplica(m, tol)
-	return newPool(cfg, rep, func(version uint64) SyncJob {
-		n := m.N()
-		flat := make([]float64, n*n)
-		for i := 0; i < n; i++ {
-			m.Row(i, flat[i*n:(i+1)*n])
-		}
-		return SyncJob{N: n, Tol: tol, Version: version, Flat: flat}
-	})
-}
-
-// newPool wires the shared pool machinery around a replica and a snapshot
-// source. snap builds the Sync handshake at a given version — dense pools
-// re-read the session matrix on every call (it mutates), tiered pools hand
-// back a precomputed immutable payload.
-func newPool(cfg PoolConfig, rep *shard.Replica, snap func(version uint64) SyncJob) (*Pool, error) {
+// pool (later failures degrade gracefully instead). rep is the session's
+// replica — the pool snapshots its space for Sync handshakes and scans it
+// directly on local fallback — and its tolerance is the one every worker
+// replica shares. A dense replica ships its matrix, re-read at every
+// handshake because the session mutates it. A streamed replica over a
+// *tier.Space ships the tiered snapshot plus the replica's scan extrema —
+// O(K·n) on the wire for a model tail instead of n² — computed once, since
+// tiered sessions never mutate (the version fence stays at its initial
+// value and ShipUpdate has nothing to ship).
+func NewPool(cfg PoolConfig, rep *shard.Replica) (*Pool, error) {
+	if rep == nil {
+		return nil, errors.New("remote: nil replica")
+	}
+	snap, err := snapshotSource(rep)
+	if err != nil {
+		return nil, err
+	}
 	if len(cfg.Addrs) == 0 {
 		return nil, errors.New("remote: no worker addresses")
 	}
-	if cfg.Dial == nil {
-		cfg.Dial = func(addr string, ver func() uint64) (Transport, error) {
-			return Dial(addr, DialOptions{Version: ver})
-		}
-	}
+	cfg.setDefaults()
 	p := &Pool{
 		cfg:    cfg,
-		tol:    rep.Tol(),
 		rep:    rep,
 		local:  shard.NewLocalWorker(rep),
 		snapFn: snap,
@@ -215,7 +191,7 @@ func newPool(cfg PoolConfig, rep *shard.Replica, snap func(version uint64) SyncJ
 		})
 	}
 	handshake := p.snapshot()
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.jobTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.JobTimeout)
 	defer cancel()
 	for _, mb := range p.members {
 		if err := p.admit(ctx, mb, handshake); err != nil {
@@ -228,6 +204,34 @@ func newPool(cfg PoolConfig, rep *shard.Replica, snap func(version uint64) SyncJ
 	p.hbDone = make(chan struct{})
 	go p.heartbeat(hbCtx)
 	return p, nil
+}
+
+// snapshotSource returns the Sync handshake builder for rep: the dense
+// matrix copied at every call, or the tiered payload built once.
+func snapshotSource(rep *shard.Replica) (func(version uint64) SyncJob, error) {
+	tol := rep.Tol()
+	if m := rep.M(); m != nil {
+		return func(version uint64) SyncJob {
+			n := m.N()
+			flat := make([]float64, n*n)
+			for i := 0; i < n; i++ {
+				m.Row(i, flat[i*n:(i+1)*n])
+			}
+			return SyncJob{N: n, Tol: tol, Version: version, Flat: flat}
+		}, nil
+	}
+	ts, ok := rep.StreamSource().(*tier.Space)
+	if !ok {
+		return nil, errors.New("remote: a streamed replica needs a tier.Space row source")
+	}
+	ex, tileRows, maxTiles, _ := rep.StreamExtrema()
+	payload, err := encodeTiered(ts.Snapshot(), ex, tileRows, maxTiles)
+	if err != nil {
+		return nil, err
+	}
+	return func(version uint64) SyncJob {
+		return SyncJob{N: ts.N(), Tol: tol, Version: version, Tiered: payload}
+	}, nil
 }
 
 // admit dials mb and runs the Sync handshake; on success the member is
@@ -258,13 +262,6 @@ func (p *Pool) snapshot() SyncJob {
 	return p.snapFn(p.version.Load())
 }
 
-// Replica returns the pool's local replica — the coordinator scans it for
-// tracker absorption and graceful degradation.
-func (p *Pool) Replica() *shard.Replica { return p.rep }
-
-// Version returns the current replica version fence.
-func (p *Pool) Version() uint64 { return p.version.Load() }
-
 // Stats snapshots the recovery counters.
 func (p *Pool) Stats() Stats {
 	return Stats{
@@ -277,7 +274,7 @@ func (p *Pool) Stats() Stats {
 }
 
 // Workers returns one robust worker per configured address, in slot
-// order — shard.NewWithWorkers gives slot i the i-th row range.
+// order — shard.New gives slot i the i-th row range.
 func (p *Pool) Workers() []shard.Worker {
 	ws := make([]shard.Worker, len(p.members))
 	for i := range p.members {
@@ -287,7 +284,10 @@ func (p *Pool) Workers() []shard.Worker {
 }
 
 // Close stops the heartbeat monitor and tears down every connection.
+// Every later job fails with an error wrapping ErrClosed: a closed pool
+// never redials.
 func (p *Pool) Close() error {
+	p.closed.Store(true)
 	if p.hbStop != nil {
 		p.hbStop()
 		<-p.hbDone
@@ -315,14 +315,12 @@ func (p *Pool) closeMembers() {
 // replica is now behind the fence, and the next job on it triggers a
 // Sync-based revival (or reassignment if it stays down).
 func (p *Pool) ShipUpdate(dirty []int, rowsOnly bool) {
-	if p.rep.Streamed() {
-		// Tiered sessions are immutable; nothing can be dirty.
-		p.cfg.logf("remote: ShipUpdate ignored on immutable tiered pool")
-		return
+	m := p.rep.M()
+	if m == nil {
+		return // streamed (tiered) sessions are immutable; nothing is dirty
 	}
 	base := p.version.Load()
 	next := base + 1
-	m := p.rep.M()
 	n := m.N()
 	job := MutateJob{BaseVersion: base, Version: next, Dirty: dirty, RowsOnly: rowsOnly}
 	for _, i := range dirty {
@@ -343,7 +341,7 @@ func (p *Pool) ShipUpdate(dirty []int, rowsOnly bool) {
 	for _, mb := range p.members {
 		mb.mu.Lock()
 		if mb.t != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), p.cfg.jobTimeout())
+			ctx, cancel := context.WithTimeout(context.Background(), p.cfg.JobTimeout)
 			if err := mb.t.Mutate(ctx, job); err != nil {
 				// Behind the fence (or gone): drop the conn; the next job
 				// revives it with a full Sync at the new version.
@@ -365,7 +363,7 @@ func (p *Pool) ShipUpdate(dirty []int, rowsOnly bool) {
 // job execution runs under the session lock a snapshot read requires.
 func (p *Pool) heartbeat(ctx context.Context) {
 	defer close(p.hbDone)
-	iv := p.cfg.pingInterval()
+	iv := p.cfg.PingInterval
 	if iv < 0 {
 		return
 	}
@@ -385,13 +383,13 @@ func (p *Pool) heartbeat(ctx context.Context) {
 				mb.mu.Unlock()
 				continue
 			}
-			pctx, cancel := context.WithTimeout(ctx, p.cfg.pingTimeout())
+			pctx, cancel := context.WithTimeout(ctx, p.cfg.PingTimeout)
 			_, err := mb.t.Ping(pctx)
 			cancel()
 			if err != nil && ctx.Err() == nil {
 				mb.misses++
-				p.cfg.logf("remote: worker %s missed heartbeat %d/%d: %v", mb.addr, mb.misses, p.cfg.deadAfterMisses(), err)
-				if mb.misses >= p.cfg.deadAfterMisses() {
+				p.cfg.logf("remote: worker %s missed heartbeat %d/%d: %v", mb.addr, mb.misses, p.cfg.DeadAfterMisses, err)
+				if mb.misses >= p.cfg.DeadAfterMisses {
 					p.declareDeadLocked(mb, err)
 				}
 			} else {
@@ -419,8 +417,8 @@ func (p *Pool) declareDeadLocked(mb *member, cause error) {
 // per-member jitter, or returns early when ctx is done. Caller holds
 // mb.mu (the rng is guarded by it).
 func (p *Pool) backoff(ctx context.Context, mb *member, attempt int) {
-	d := p.cfg.backoffBase() << attempt
-	if max := p.cfg.backoffMax(); d > max || d <= 0 {
+	d := p.cfg.BackoffBase << attempt
+	if max := p.cfg.BackoffMax; d > max || d <= 0 {
 		d = max
 	}
 	d += time.Duration(mb.rng.Int63n(int64(d) + 1))
@@ -442,7 +440,7 @@ func (p *Pool) tryMember(ctx context.Context, mb *member, call func(ctx context.
 	defer mb.mu.Unlock()
 	wasDead := mb.dead
 	var lastErr error
-	for attempt := 0; attempt < p.cfg.maxAttempts(); attempt++ {
+	for attempt := 0; attempt < p.cfg.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -453,7 +451,10 @@ func (p *Pool) tryMember(ctx context.Context, mb *member, call func(ctx context.
 			}
 		}
 		if mb.t == nil {
-			actx, cancel := context.WithTimeout(ctx, p.cfg.jobTimeout())
+			if p.closed.Load() {
+				return errPoolClosed
+			}
+			actx, cancel := context.WithTimeout(ctx, p.cfg.JobTimeout)
 			err := p.admit(actx, mb, p.snapshot())
 			cancel()
 			if err != nil {
@@ -467,7 +468,7 @@ func (p *Pool) tryMember(ctx context.Context, mb *member, call func(ctx context.
 				wasDead = false
 			}
 		}
-		jctx, cancel := context.WithTimeout(ctx, p.cfg.jobTimeout())
+		jctx, cancel := context.WithTimeout(ctx, p.cfg.JobTimeout)
 		err := call(jctx, mb.t)
 		cancel()
 		if err == nil {
@@ -479,7 +480,7 @@ func (p *Pool) tryMember(ctx context.Context, mb *member, call func(ctx context.
 		lastErr = err
 		if NeedsSync(err) {
 			// The worker is alive but behind the fence: one Sync cures it.
-			sctx, scancel := context.WithTimeout(ctx, p.cfg.jobTimeout())
+			sctx, scancel := context.WithTimeout(ctx, p.cfg.JobTimeout)
 			serr := mb.t.Sync(sctx, p.snapshot())
 			scancel()
 			if serr == nil {
@@ -505,6 +506,9 @@ func (p *Pool) tryMember(ctx context.Context, mb *member, call func(ctx context.
 func (p *Pool) do(ctx context.Context, slot int, call func(ctx context.Context, w shard.Worker) error) error {
 	k := len(p.members)
 	for off := 0; off < k; off++ {
+		if p.closed.Load() {
+			return errPoolClosed
+		}
 		mb := p.members[(slot+off)%k]
 		err := p.tryMember(ctx, mb, call)
 		if err == nil {
@@ -521,6 +525,9 @@ func (p *Pool) do(ctx context.Context, slot int, call func(ctx context.Context, 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	if p.closed.Load() {
+		return errPoolClosed
+	}
 	p.localFalls.Add(1)
 	p.cfg.logf("remote: slot %d computed locally (no remote worker available)", slot)
 	return call(ctx, p.local)
@@ -532,70 +539,23 @@ type robustWorker struct {
 	slot int
 }
 
-func (w *robustWorker) ZetaMax(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
-	var res shard.MaxResult
-	err := w.p.do(ctx, w.slot, func(ctx context.Context, wk shard.Worker) error {
-		r, err := wk.ZetaMax(ctx, job)
-		if err == nil {
-			res = r
-		}
-		return err
-	})
-	return res, err
+func (w *robustWorker) Max(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
+	return robust(ctx, w, func(ctx context.Context, wk shard.Worker) (shard.MaxResult, error) { return wk.Max(ctx, job) })
 }
 
-func (w *robustWorker) ZetaBand(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
-	var res shard.BandResult
-	err := w.p.do(ctx, w.slot, func(ctx context.Context, wk shard.Worker) error {
-		r, err := wk.ZetaBand(ctx, job)
-		if err == nil {
-			res = r
-		}
-		return err
-	})
-	return res, err
+func (w *robustWorker) Band(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
+	return robust(ctx, w, func(ctx context.Context, wk shard.Worker) (shard.BandResult, error) { return wk.Band(ctx, job) })
 }
 
-func (w *robustWorker) ZetaRepair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
-	var res shard.BandResult
-	err := w.p.do(ctx, w.slot, func(ctx context.Context, wk shard.Worker) error {
-		r, err := wk.ZetaRepair(ctx, job)
-		if err == nil {
-			res = r
-		}
-		return err
-	})
-	return res, err
+func (w *robustWorker) Repair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
+	return robust(ctx, w, func(ctx context.Context, wk shard.Worker) (shard.BandResult, error) { return wk.Repair(ctx, job) })
 }
 
-func (w *robustWorker) VarphiMax(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
-	var res shard.MaxResult
+// robust runs one job through the pool's recovery ladder for w's slot.
+func robust[T any](ctx context.Context, w *robustWorker, call func(ctx context.Context, wk shard.Worker) (T, error)) (T, error) {
+	var res T
 	err := w.p.do(ctx, w.slot, func(ctx context.Context, wk shard.Worker) error {
-		r, err := wk.VarphiMax(ctx, job)
-		if err == nil {
-			res = r
-		}
-		return err
-	})
-	return res, err
-}
-
-func (w *robustWorker) VarphiBand(ctx context.Context, job shard.BandJob) (shard.BandResult, error) {
-	var res shard.BandResult
-	err := w.p.do(ctx, w.slot, func(ctx context.Context, wk shard.Worker) error {
-		r, err := wk.VarphiBand(ctx, job)
-		if err == nil {
-			res = r
-		}
-		return err
-	})
-	return res, err
-}
-
-func (w *robustWorker) VarphiRepair(ctx context.Context, job shard.RepairJob) (shard.BandResult, error) {
-	var res shard.BandResult
-	err := w.p.do(ctx, w.slot, func(ctx context.Context, wk shard.Worker) error {
-		r, err := wk.VarphiRepair(ctx, job)
+		r, err := call(ctx, wk)
 		if err == nil {
 			res = r
 		}

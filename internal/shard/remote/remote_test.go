@@ -15,7 +15,7 @@ import (
 )
 
 // testSpace builds a small deterministic dense space.
-func testSpace(t *testing.T, n int) *core.Matrix {
+func testSpace(t testing.TB, n int) *core.Matrix {
 	t.Helper()
 	m, err := core.NewMatrixFlat(n, func() []float64 {
 		flat := make([]float64, n*n)
@@ -33,6 +33,16 @@ func testSpace(t *testing.T, n int) *core.Matrix {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// replica wraps m as a dense replica at tolerance 1e-12.
+func replica(t testing.TB, m *core.Matrix) *shard.Replica {
+	t.Helper()
+	rep, err := shard.NewReplica(context.Background(), m, 1e-12, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 func flatten(m *core.Matrix) Floats {
@@ -128,7 +138,7 @@ func TestClientServerFencing(t *testing.T) {
 	m := testSpace(t, 12)
 	job := shard.ScanJob{Rows: shard.Range{Lo: 0, Hi: 12}}
 
-	if _, err := c.ZetaMax(ctx, job); !NeedsSync(err) {
+	if _, err := c.Max(ctx, job); !NeedsSync(err) {
 		t.Fatalf("scan before Sync: err = %v, want no_replica", err)
 	}
 	if pr, err := c.Ping(ctx); err != nil || pr.Synced {
@@ -138,22 +148,21 @@ func TestClientServerFencing(t *testing.T) {
 	if err := c.Sync(ctx, SyncJob{N: 12, Tol: 1e-12, Version: 0, Flat: flatten(m)}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.ZetaMax(ctx, job)
+	got, err := c.Max(ctx, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := shard.NewReplica(m.Clone(), 1e-12)
-	want, err := shard.NewLocalWorker(rep).ZetaMax(ctx, job)
+	want, err := shard.NewLocalWorker(replica(t, m.Clone())).Max(ctx, job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Float64bits(got.Max) != math.Float64bits(want.Max) {
-		t.Fatalf("remote ZetaMax %v, local %v", got.Max, want.Max)
+		t.Fatalf("remote Max %v, local %v", got.Max, want.Max)
 	}
 
 	// A fence the worker has not reached: stale.
 	ver.Store(1)
-	if _, err := c.ZetaMax(ctx, job); !NeedsSync(err) {
+	if _, err := c.Max(ctx, job); !NeedsSync(err) {
 		t.Fatalf("scan past fence: err = %v, want stale_version", err)
 	}
 
@@ -176,17 +185,16 @@ func TestClientServerFencing(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got, err = c.ZetaMax(ctx, job)
+	got, err = c.Max(ctx, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2 := shard.NewReplica(m.Clone(), 1e-12)
-	want, err = shard.NewLocalWorker(rep2).ZetaMax(ctx, job)
+	want, err = shard.NewLocalWorker(replica(t, m.Clone())).Max(ctx, job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Float64bits(got.Max) != math.Float64bits(want.Max) {
-		t.Fatalf("post-mutate remote ZetaMax %v, local %v", got.Max, want.Max)
+		t.Fatalf("post-mutate remote Max %v, local %v", got.Max, want.Max)
 	}
 	if pr, err := c.Ping(ctx); err != nil || !pr.Synced || pr.Version != 1 {
 		t.Fatalf("ping after mutate = %+v, %v", pr, err)
@@ -238,7 +246,7 @@ func TestPoolHeartbeatDeathDetection(t *testing.T) {
 		PingInterval:    5 * time.Millisecond,
 		PingTimeout:     100 * time.Millisecond,
 		DeadAfterMisses: 2,
-	}, m, 1e-12)
+	}, replica(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,17 +272,17 @@ func TestFaultInjectorCountersSurviveRewrap(t *testing.T) {
 	w1 := inj.Wrap(0, fake)
 	ctx := context.Background()
 	job := shard.ScanJob{}
-	if _, err := w1.ZetaMax(ctx, job); err != nil { // call 1: passes
+	if _, err := w1.Max(ctx, job); err != nil { // call 1: passes
 		t.Fatalf("call 1: %v", err)
 	}
-	if _, err := w1.ZetaMax(ctx, job); err == nil { // call 2: injected
+	if _, err := w1.Max(ctx, job); err == nil { // call 2: injected
 		t.Fatal("call 2 not injected")
 	}
-	w2 := inj.Wrap(0, fake)                         // redial: same slot, same counter
-	if _, err := w2.ZetaMax(ctx, job); err != nil { // call 3: passes
+	w2 := inj.Wrap(0, fake)                     // redial: same slot, same counter
+	if _, err := w2.Max(ctx, job); err != nil { // call 3: passes
 		t.Fatalf("call 3: %v", err)
 	}
-	if _, err := w2.ZetaMax(ctx, job); err == nil { // call 4: injected
+	if _, err := w2.Max(ctx, job); err == nil { // call 4: injected
 		t.Fatal("call 4 not injected")
 	}
 	if fake.calls.Load() != 2 {
@@ -285,23 +293,14 @@ func TestFaultInjectorCountersSurviveRewrap(t *testing.T) {
 // countingTransport is a no-op Transport counting scan calls.
 type countingTransport struct{ calls atomic.Int64 }
 
-func (c *countingTransport) ZetaMax(context.Context, shard.ScanJob) (shard.MaxResult, error) {
+func (c *countingTransport) Max(context.Context, shard.ScanJob) (shard.MaxResult, error) {
 	c.calls.Add(1)
 	return shard.MaxResult{}, nil
 }
-func (c *countingTransport) ZetaBand(context.Context, shard.BandJob) (shard.BandResult, error) {
+func (c *countingTransport) Band(context.Context, shard.BandJob) (shard.BandResult, error) {
 	return shard.BandResult{}, nil
 }
-func (c *countingTransport) ZetaRepair(context.Context, shard.RepairJob) (shard.BandResult, error) {
-	return shard.BandResult{}, nil
-}
-func (c *countingTransport) VarphiMax(context.Context, shard.ScanJob) (shard.MaxResult, error) {
-	return shard.MaxResult{}, nil
-}
-func (c *countingTransport) VarphiBand(context.Context, shard.BandJob) (shard.BandResult, error) {
-	return shard.BandResult{}, nil
-}
-func (c *countingTransport) VarphiRepair(context.Context, shard.RepairJob) (shard.BandResult, error) {
+func (c *countingTransport) Repair(context.Context, shard.RepairJob) (shard.BandResult, error) {
 	return shard.BandResult{}, nil
 }
 func (c *countingTransport) Sync(context.Context, SyncJob) error      { return nil }

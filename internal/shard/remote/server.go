@@ -178,10 +178,22 @@ func (s *serverConn) serve(ctx context.Context, req *request) (result any, err e
 	return s.dispatch(ctx, req)
 }
 
-// checkRows rejects a row range outside [0, n) before it reaches a scan.
-func checkRows(r shard.Range, n int) error {
+// checkScope rejects a parameter shard.Worker does not know and a row
+// range outside [0, n) before either reaches a scan.
+func checkScope(p shard.Param, r shard.Range, n int) error {
+	if p > shard.Varphi {
+		return &Error{Kind: KindBadRequest, Msg: fmt.Sprintf("unknown parameter %d", p)}
+	}
 	if r.Lo < 0 || r.Lo > r.Hi || r.Hi > n {
 		return &Error{Kind: KindBadRequest, Msg: fmt.Sprintf("rows [%d,%d) outside [0,%d)", r.Lo, r.Hi, n)}
+	}
+	return nil
+}
+
+// decode unmarshals a request's job, answering bad_request on failure.
+func decode(raw json.RawMessage, job any) error {
+	if err := json.Unmarshal(raw, job); err != nil {
+		return &Error{Kind: KindBadRequest, Msg: err.Error()}
 	}
 	return nil
 }
@@ -229,14 +241,14 @@ func (s *serverConn) dispatch(ctx context.Context, req *request) (any, error) {
 	switch req.Method {
 	case methodSync:
 		var job SyncJob
-		if err := json.Unmarshal(req.Job, &job); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
+		if err := decode(req.Job, &job); err != nil {
+			return nil, err
 		}
 		return s.handleSync(&job)
 	case methodMutate:
 		var job MutateJob
-		if err := json.Unmarshal(req.Job, &job); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
+		if err := decode(req.Job, &job); err != nil {
+			return nil, err
 		}
 		return s.handleMutate(&job)
 	case methodPing:
@@ -256,45 +268,36 @@ func (s *serverConn) dispatch(ctx context.Context, req *request) (any, error) {
 	}
 	n := s.rep.N()
 	switch req.Method {
-	case methodZetaMax, methodVarphiMax:
+	case methodMax:
 		var job shard.ScanJob
-		if err := json.Unmarshal(req.Job, &job); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
-		}
-		if err := checkRows(job.Rows, n); err != nil {
+		if err := decode(req.Job, &job); err != nil {
 			return nil, err
 		}
-		if req.Method == methodZetaMax {
-			return s.work.ZetaMax(ctx, job)
+		if err := checkScope(job.Param, job.Rows, n); err != nil {
+			return nil, err
 		}
-		return s.work.VarphiMax(ctx, job)
-	case methodZetaBand, methodVarphiBand:
+		return s.work.Max(ctx, job)
+	case methodBand:
 		var job shard.BandJob
-		if err := json.Unmarshal(req.Job, &job); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
-		}
-		if err := checkRows(job.Rows, n); err != nil {
+		if err := decode(req.Job, &job); err != nil {
 			return nil, err
 		}
-		if req.Method == methodZetaBand {
-			return s.work.ZetaBand(ctx, job)
+		if err := checkScope(job.Param, job.Rows, n); err != nil {
+			return nil, err
 		}
-		return s.work.VarphiBand(ctx, job)
-	case methodZetaRepair, methodVarphiRepair:
+		return s.work.Band(ctx, job)
+	case methodRepair:
 		var job shard.RepairJob
-		if err := json.Unmarshal(req.Job, &job); err != nil {
-			return nil, &Error{Kind: KindBadRequest, Msg: err.Error()}
+		if err := decode(req.Job, &job); err != nil {
+			return nil, err
 		}
-		if err := checkRows(job.Rows, n); err != nil {
+		if err := checkScope(job.Param, job.Rows, n); err != nil {
 			return nil, err
 		}
 		if err := checkDirty(job.Dirty, n); err != nil {
 			return nil, err
 		}
-		if req.Method == methodZetaRepair {
-			return s.work.ZetaRepair(ctx, job)
-		}
-		return s.work.VarphiRepair(ctx, job)
+		return s.work.Repair(ctx, job)
 	}
 	return nil, &Error{Kind: KindBadRequest, Msg: "unknown method " + req.Method}
 }
@@ -304,31 +307,33 @@ func (s *serverConn) dispatch(ctx context.Context, req *request) (any, error) {
 // extrema), which reconstructs a streamed replica that scans
 // bit-identically to the coordinator's.
 func (s *serverConn) handleSync(job *SyncJob) (any, error) {
+	var rep *shard.Replica
 	if job.Tiered != nil {
-		return s.handleTieredSync(job)
-	}
-	if job.N < 0 || len(job.Flat) != job.N*job.N {
-		return nil, &Error{Kind: KindBadRequest, Msg: fmt.Sprintf("sync: %d values for n=%d", len(job.Flat), job.N)}
-	}
-	m, err := core.NewMatrixFlat(job.N, []float64(job.Flat))
-	if err != nil {
-		return nil, &Error{Kind: KindBadRequest, Msg: "sync: " + err.Error()}
+		var err error
+		if rep, err = tieredReplica(job); err != nil {
+			return nil, err
+		}
+	} else {
+		m, err := core.NewMatrixFlat(job.N, []float64(job.Flat))
+		if err != nil {
+			return nil, &Error{Kind: KindBadRequest, Msg: "sync: " + err.Error()}
+		}
+		rep, _ = shard.NewReplica(context.Background(), m, job.Tol, 0, 0) // a matrix replica cannot fail
 	}
 	s.repMu.Lock()
 	defer s.repMu.Unlock()
-	rep := shard.NewReplica(m, job.Tol)
 	s.rep = rep
 	s.work = shard.NewLocalWorker(rep)
 	s.version = job.Version
-	s.opts.logf("worker: synced replica n=%d version=%d", job.N, job.Version)
+	s.opts.logf("worker: synced replica n=%d version=%d streamed=%v", job.N, job.Version, rep.Streamed())
 	return struct{}{}, nil
 }
 
-// handleTieredSync materializes a streamed replica from a tiered snapshot.
+// tieredReplica materializes a streamed replica from a tiered snapshot.
 // The payload is untrusted: the config/model re-run the strict parsers,
 // tier.FromSnapshot validates the CSR structure, and the shipped extrema
 // lengths are checked against n before the scan is assembled.
-func (s *serverConn) handleTieredSync(job *SyncJob) (any, error) {
+func tieredReplica(job *SyncJob) (*shard.Replica, error) {
 	if job.N < 0 || len(job.Flat) != 0 {
 		return nil, &Error{Kind: KindBadRequest, Msg: fmt.Sprintf("sync: tiered payload with n=%d and %d dense values", job.N, len(job.Flat))}
 	}
@@ -344,13 +349,7 @@ func (s *serverConn) handleTieredSync(job *SyncJob) (any, error) {
 	if err != nil {
 		return nil, &Error{Kind: KindBadRequest, Msg: "sync: " + err.Error()}
 	}
-	s.repMu.Lock()
-	defer s.repMu.Unlock()
-	s.rep = rep
-	s.work = shard.NewLocalWorker(rep)
-	s.version = job.Version
-	s.opts.logf("worker: synced tiered replica n=%d version=%d (%d near entries)", job.N, job.Version, len(snap.NearIdx))
-	return struct{}{}, nil
+	return rep, nil
 }
 
 // handleMutate applies a version-fenced mutation batch to the replica and

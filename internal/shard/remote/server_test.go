@@ -39,39 +39,46 @@ func wantKind(t *testing.T, tag string, err error, kind string) {
 func TestServerRejectsMalformedJobs(t *testing.T) {
 	c := syncedClient(t, 4)
 	ctx := context.Background()
-	_, err := c.ZetaMax(ctx, shard.ScanJob{Rows: shard.Range{Lo: 0, Hi: 99}})
-	wantKind(t, "ZetaMax rows [0,99)", err, KindBadRequest)
-	_, err = c.VarphiMax(ctx, shard.ScanJob{Rows: shard.Range{Lo: -1, Hi: 2}})
-	wantKind(t, "VarphiMax rows [-1,2)", err, KindBadRequest)
-	_, err = c.ZetaBand(ctx, shard.BandJob{Rows: shard.Range{Lo: 3, Hi: 2}})
-	wantKind(t, "ZetaBand rows [3,2)", err, KindBadRequest)
-	_, err = c.ZetaRepair(ctx, shard.RepairJob{Rows: shard.Range{Lo: 0, Hi: 4}, Dirty: []int{99}})
-	wantKind(t, "ZetaRepair dirty [99]", err, KindBadRequest)
-	_, err = c.VarphiRepair(ctx, shard.RepairJob{Rows: shard.Range{Lo: 0, Hi: 4}, Dirty: []int{-1}})
-	wantKind(t, "VarphiRepair dirty [-1]", err, KindBadRequest)
+	_, err := c.Max(ctx, shard.ScanJob{Rows: shard.Range{Lo: 0, Hi: 99}})
+	wantKind(t, "Max rows [0,99)", err, KindBadRequest)
+	_, err = c.Max(ctx, shard.ScanJob{Param: shard.Varphi, Rows: shard.Range{Lo: -1, Hi: 2}})
+	wantKind(t, "Max rows [-1,2)", err, KindBadRequest)
+	_, err = c.Max(ctx, shard.ScanJob{Param: shard.Varphi + 1, Rows: shard.Range{Lo: 0, Hi: 4}})
+	wantKind(t, "Max of an unknown parameter", err, KindBadRequest)
+	_, err = c.Band(ctx, shard.BandJob{Rows: shard.Range{Lo: 3, Hi: 2}})
+	wantKind(t, "Band rows [3,2)", err, KindBadRequest)
+	_, err = c.Band(ctx, shard.BandJob{Param: 200, Rows: shard.Range{Lo: 0, Hi: 4}})
+	wantKind(t, "Band of an unknown parameter", err, KindBadRequest)
+	_, err = c.Repair(ctx, shard.RepairJob{Rows: shard.Range{Lo: 0, Hi: 4}, Dirty: []int{99}})
+	wantKind(t, "Repair dirty [99]", err, KindBadRequest)
+	_, err = c.Repair(ctx, shard.RepairJob{Param: shard.Varphi, Rows: shard.Range{Lo: 0, Hi: 4}, Dirty: []int{-1}})
+	wantKind(t, "Repair dirty [-1]", err, KindBadRequest)
 	err = c.Mutate(ctx, MutateJob{Version: 1, Dirty: []int{4}})
 	wantKind(t, "Mutate dirty [4]", err, KindBadRequest)
 
 	if pr, err := c.Ping(ctx); err != nil || !pr.Synced || pr.Version != 0 {
 		t.Fatalf("ping after malformed jobs = %+v, %v", pr, err)
 	}
-	if _, err := c.ZetaMax(ctx, shard.ScanJob{Rows: shard.Range{Lo: 0, Hi: 4}}); err != nil {
+	if _, err := c.Max(ctx, shard.ScanJob{Rows: shard.Range{Lo: 0, Hi: 4}}); err != nil {
 		t.Fatalf("well-formed scan after malformed jobs: %v", err)
 	}
 }
 
-// panicWorker is a shard.Worker whose max scans panic.
+// panicWorker is a shard.Worker whose ζ max scans panic.
 type panicWorker struct{ shard.Worker }
 
-func (panicWorker) ZetaMax(context.Context, shard.ScanJob) (shard.MaxResult, error) {
-	panic("scan kernel fault")
+func (w panicWorker) Max(ctx context.Context, job shard.ScanJob) (shard.MaxResult, error) {
+	if job.Param == shard.Zeta {
+		panic("scan kernel fault")
+	}
+	return w.Worker.Max(ctx, job)
 }
 
 // TestServerRecoversPanic: a request whose scan panics is answered
 // internal, and the connection goes on serving.
 func TestServerRecoversPanic(t *testing.T) {
 	srv, cli := net.Pipe()
-	rep := shard.NewReplica(testSpace(t, 4), 1e-12)
+	rep := replica(t, testSpace(t, 4))
 	sc := &serverConn{c: srv, opts: &ServerOptions{}, rep: rep, work: panicWorker{shard.NewLocalWorker(rep)}, inflight: make(map[uint64]context.CancelFunc)}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -85,9 +92,9 @@ func TestServerRecoversPanic(t *testing.T) {
 		cancel()
 		<-done
 	})
-	_, err := c.ZetaMax(context.Background(), shard.ScanJob{Rows: shard.Range{Lo: 0, Hi: 4}})
-	wantKind(t, "panicking ZetaMax", err, KindInternal)
-	if _, err := c.VarphiMax(context.Background(), shard.ScanJob{Rows: shard.Range{Lo: 0, Hi: 4}}); err != nil {
+	_, err := c.Max(context.Background(), shard.ScanJob{Rows: shard.Range{Lo: 0, Hi: 4}})
+	wantKind(t, "panicking ζ Max", err, KindInternal)
+	if _, err := c.Max(context.Background(), shard.ScanJob{Param: shard.Varphi, Rows: shard.Range{Lo: 0, Hi: 4}}); err != nil {
 		t.Fatalf("scan after a recovered panic: %v", err)
 	}
 	if _, err := c.Ping(context.Background()); err != nil {

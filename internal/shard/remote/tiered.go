@@ -1,12 +1,10 @@
 package remote
 
 import (
-	"errors"
 	"fmt"
 
 	"decaynet/internal/core"
 	"decaynet/internal/geom"
-	"decaynet/internal/shard"
 	"decaynet/internal/tier"
 )
 
@@ -95,34 +93,4 @@ func (ts *TieredSnap) decodeTiered(n int) (tier.Snapshot, core.StreamExtrema, er
 		Seed:   ts.Seed,
 	}
 	return snap, ex, nil
-}
-
-// NewTieredPool builds the fault-tolerance pool for an immutable tiered
-// session: rep must be a streamed replica whose row source is a
-// *tier.Space (the engine's WithTieredStorage + WithRemoteWorkers wiring
-// builds exactly that). Sync handshakes ship the tiered snapshot plus the
-// replica's scan extrema — O(K·n) on the wire for a model tail instead of
-// the dense n² matrix — and remote row-range scans are bit-identical to
-// local streamed scans. Tiered sessions never mutate, so the version fence
-// stays at its initial value and ShipUpdate must not be called.
-func NewTieredPool(cfg PoolConfig, rep *shard.Replica) (*Pool, error) {
-	if rep == nil || !rep.Streamed() {
-		return nil, errors.New("remote: tiered pool needs a streamed replica")
-	}
-	ts, ok := rep.StreamSource().(*tier.Space)
-	if !ok {
-		return nil, errors.New("remote: tiered pool needs a tier.Space row source")
-	}
-	ex, tileRows, maxTiles, ok := rep.StreamExtrema()
-	if !ok {
-		return nil, errors.New("remote: streamed replica without scan extrema")
-	}
-	payload, err := encodeTiered(ts.Snapshot(), ex, tileRows, maxTiles)
-	if err != nil {
-		return nil, err
-	}
-	tol := rep.Tol()
-	return newPool(cfg, rep, func(version uint64) SyncJob {
-		return SyncJob{N: ts.N(), Tol: tol, Version: version, Tiered: payload}
-	})
 }

@@ -1,6 +1,6 @@
 // Package remote is the cross-machine shard transport: a length-prefixed
 // JSON-over-TCP protocol carrying the shard.Worker job/result structs — the
-// ζ/ϕ max, band and repair scans — between a coordinator and remote worker
+// max, band and repair scans of ζ or ϕ — between a coordinator and remote worker
 // processes, each holding its own replica of the session's decay space.
 // Affectance matrices never cross the wire: the coordinator builds them
 // from its own copy of the space, since their O(links²) output costs more
@@ -51,19 +51,17 @@ import (
 	"strconv"
 )
 
-// Protocol methods. Scan methods mirror shard.Worker one-to-one.
+// Protocol methods. Scan methods mirror shard.Worker one-to-one; each
+// job names the parameter (ζ or ϕ) it scans.
 const (
 	methodSync   = "sync"
 	methodMutate = "mutate"
 	methodPing   = "ping"
 	methodCancel = "cancel"
 
-	methodZetaMax      = "zeta_max"
-	methodZetaBand     = "zeta_band"
-	methodZetaRepair   = "zeta_repair"
-	methodVarphiMax    = "varphi_max"
-	methodVarphiBand   = "varphi_band"
-	methodVarphiRepair = "varphi_repair"
+	methodMax    = "max"
+	methodBand   = "band"
+	methodRepair = "repair"
 )
 
 // Error kinds a worker can answer with. The pool maps them to recovery

@@ -23,7 +23,7 @@ func FuzzReadFrame(f *testing.F) {
 	writeFrame(&buf, request{ID: 1, Method: methodPing})
 	f.Add(buf.Bytes())
 	buf.Reset()
-	writeFrame(&buf, request{ID: 2, Method: methodZetaMax, Version: 3, Job: json.RawMessage(`{"rows":{"lo":0,"hi":4},"sym":true}`)})
+	writeFrame(&buf, request{ID: 2, Method: methodMax, Version: 3, Job: json.RawMessage(`{"param":1,"rows":{"lo":0,"hi":4},"sym":true}`)})
 	f.Add(buf.Bytes())
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0x40, 0, 0, 0, '{'})

@@ -1,13 +1,13 @@
-// Package shard is the row-range sharding runtime behind the scaled
-// metricity paths: a Coordinator partitions the row index space of a dense
-// decay space into K contiguous row-range shards and dispatches each
-// shard's tile-grid work unit (the par.ForTiles granule: the shard's row
-// band of the (x,z) tile grid) to a Worker over a message-shaped boundary,
-// then merges the partial results — per-shard ζ/ϕ maxima and band
-// collections into global tracker state, per-shard repair collections into
-// the incremental session repairs. Affectance matrices are not sharded:
-// their O(links²) build costs no more than shipping its O(links²) output,
-// so sessions build them in process (sinr.ComputeAffectancesCtx).
+// Package shard is the backend behind every exact metricity read: a
+// Coordinator partitions the row index space of a decay space into K
+// contiguous row-range shards and dispatches each shard's work unit (the
+// shard's row band of the triplet scan) to a Worker over a message-shaped
+// boundary, then merges the partial results — per-shard ζ/ϕ maxima and
+// band collections into global tracker state, per-shard repair
+// collections into the incremental session repairs. Affectance matrices
+// are not sharded: their O(links²) build costs no more than shipping its
+// O(links²) output, so sessions build them in process
+// (sinr.ComputeAffectancesCtx).
 //
 // Every reduction the coordinator performs is associative and
 // schedule-independent — maxima merge with max, bands concatenate in shard
@@ -15,24 +15,24 @@
 // range as the unsharded scans (core.ZetaScanState / core.VarphiScanState,
 // core.StreamScan), each of which keeps exactly the triplets above its
 // bound, so the sharded results are bit-identical to the single-machine
-// ones and to the per-pair oracles. That property is what lets
-// decaynet.WithShards route a live session through the coordinator
-// transparently and is enforced by the equivalence property tests.
+// ones and to the per-pair oracles, whoever computes each range.
 //
-// The Worker interface is message-shaped: every method takes and returns
-// plain wire-format structs (json-tagged values, no shared pointers), so a
-// cross-machine transport only needs to marshal them. The in-process
-// implementation runs each worker's scan serially on the calling
-// goroutine — the coordinator's fan-out is the parallelism, one goroutine
-// per shard — against a shared Replica; a remote deployment would give
-// each worker its own replica and ship Mutation batches to keep them
-// current (the ROADMAP's replicated-session item).
+// The Worker interface is message-shaped: three methods — Max, Band and
+// Repair — each take and return plain wire-format structs (json-tagged
+// values, no shared pointers) naming the parameter they scan, so a
+// cross-machine transport only needs to marshal them. A session's
+// workers are one of three kinds: a single in-process worker whose range
+// scans run on the shared internal/par pool (an unsharded session), K
+// in-process workers that each scan their range serially on one
+// goroutine against a shared Replica (decaynet.WithShards), or remote
+// workers (internal/shard/remote) that each hold their own replica, kept
+// current by shipped mutation batches (decaynet.WithRemoteWorkers).
 package shard
 
 import (
 	"context"
 	"errors"
-	"fmt"
+	"slices"
 	"sync"
 
 	"decaynet/internal/core"
@@ -71,14 +71,81 @@ func Split(n, k int) []Range {
 	return out
 }
 
-// ScanJob asks a worker for the exact maximum over the triplets whose
-// first index lies in its row range, or a larger value the space attains
-// (the seed its scan starts at), so the max-merge over the ranges is the
-// exact full maximum. Sym certifies exact decay symmetry, allowing the
-// halved scan.
+// EachRange runs body(shard, range) concurrently for every non-empty
+// range, one goroutine each — the fan-out every sharded phase is built on
+// (the per-tx-row trace aggregation uses it directly). The first error
+// cancels the remaining bodies' contexts and is returned; bodies poll ctx
+// per row, so cancellation reaches every worker well within a row's scan
+// time.
+func EachRange(ctx context.Context, ranges []Range, body func(ctx context.Context, shard int, r Range) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+	)
+	for i, r := range ranges {
+		if r.Len() == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, r Range) {
+			defer wg.Done()
+			if err := body(ctx, i, r); err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
+				cancel()
+			}
+		}(i, r)
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return firstErr
+	}
+	return ctx.Err()
+}
+
+// Param names the triplet parameter a job scans.
+type Param uint8
+
+const (
+	// Zeta is the metricity ζ of Def. 2.2.
+	Zeta Param = iota
+	// Varphi is the variant ϕ of Sec. 4.2.
+	Varphi
+)
+
+// floor returns the parameter's universal floor: the value a space with
+// no triplet above it reports.
+func (p Param) floor() float64 {
+	if p == Varphi {
+		return core.VarphiFloor
+	}
+	return core.DefaultZetaFloor
+}
+
+// bandFloor returns the floor of the candidate band a tracker keeps for a
+// full-scan maximum of max.
+func (p Param) bandFloor(max float64) float64 {
+	if p == Varphi {
+		return core.VarphiBandFloor(max)
+	}
+	return core.ZetaBandFloor(max)
+}
+
+// ScanJob asks a worker for the exact maximum of Param over the triplets
+// whose first index lies in its row range, or a larger value the space
+// attains (the seed a ζ scan starts at), so the max-merge over the ranges
+// is the exact full maximum. Sym certifies exact decay symmetry, allowing
+// the halved scan.
 type ScanJob struct {
-	Rows Range `json:"rows"`
-	Sym  bool  `json:"sym"`
+	Param Param `json:"param"`
+	Rows  Range `json:"rows"`
+	Sym   bool  `json:"sym"`
 }
 
 // MaxResult is a shard's partial maximum.
@@ -86,20 +153,23 @@ type MaxResult struct {
 	Max float64 `json:"max"`
 }
 
-// BandJob asks a worker for every triplet in its row range whose value
-// exceeds Floor — the band-collection phase seeding the global trackers.
+// BandJob asks a worker for every triplet in its row range whose value of
+// Param exceeds Floor — the band-collection phase seeding the global
+// trackers.
 type BandJob struct {
+	Param Param   `json:"param"`
 	Rows  Range   `json:"rows"`
 	Floor float64 `json:"floor"`
 }
 
 // RepairJob asks a worker to re-scan the triplets of its row range whose
-// values a mutation may have changed, collecting those above Floor.
-// RowsOnly mirrors the tracker contract: only the dirty rows changed, not
-// their columns. The scan then skips the slices that read clean rows only
-// (ζ's (x, y ∈ M, z ∉ M) and ϕ's (x, y ∉ M, z ∈ M) for clean x), exactly
-// as the coordinator's band drop keeps their candidates.
+// values of Param a mutation may have changed, collecting those above
+// Floor. RowsOnly mirrors the tracker contract: only the dirty rows
+// changed, not their columns. The scan then skips the slices that read
+// clean rows only (ζ's (x, y ∈ M, z ∉ M) and ϕ's (x, y ∉ M, z ∈ M) for
+// clean x), exactly as the coordinator's band drop keeps their candidates.
 type RepairJob struct {
+	Param    Param   `json:"param"`
 	Rows     Range   `json:"rows"`
 	Dirty    []int   `json:"dirty"`
 	RowsOnly bool    `json:"rows_only"`
@@ -113,16 +183,13 @@ type BandResult struct {
 
 // Worker is the serializable shard boundary: each method is one
 // request/response exchange over plain wire-format values. In-process
-// workers scan a shared Replica serially; a future transport marshals the
-// same structs to remote workers holding their own replicas. All methods
-// poll ctx per row and return ctx.Err() promptly when cancelled.
+// workers scan a shared Replica; remote transports marshal the same
+// structs to workers holding their own replicas. All methods poll ctx per
+// row and return ctx.Err() promptly when cancelled.
 type Worker interface {
-	ZetaMax(ctx context.Context, job ScanJob) (MaxResult, error)
-	ZetaBand(ctx context.Context, job BandJob) (BandResult, error)
-	ZetaRepair(ctx context.Context, job RepairJob) (BandResult, error)
-	VarphiMax(ctx context.Context, job ScanJob) (MaxResult, error)
-	VarphiBand(ctx context.Context, job BandJob) (BandResult, error)
-	VarphiRepair(ctx context.Context, job RepairJob) (BandResult, error)
+	Max(ctx context.Context, job ScanJob) (MaxResult, error)
+	Band(ctx context.Context, job BandJob) (BandResult, error)
+	Repair(ctx context.Context, job RepairJob) (BandResult, error)
 }
 
 // ErrStreamed is returned for phases a streamed (row-paged, non-dense)
@@ -131,16 +198,16 @@ type Worker interface {
 var ErrStreamed = errors.New("shard: operation not supported on a streamed replica (streamed sessions are immutable)")
 
 // Replica is the session state a worker scans: the dense decay matrix plus
-// lazily built scan replicas (the ζ screen matrix G, pruning extrema).
-// In-process, one Replica is shared by every worker and patched in place
-// by the session's repairs (under the session write lock); cross-machine,
-// each worker would hold its own and apply shipped mutation batches.
+// lazily built scan states (the ζ screen matrix G, pruning extrema). In
+// process, one Replica is shared by every worker and patched in place by
+// the session's repairs (under the session write lock); a remote worker
+// holds its own and applies shipped mutation batches.
 //
-// A streamed replica (NewStreamedReplica) holds no dense matrix at all:
-// instead of an n² matrix it carries a core.StreamScan — O(n) pruning
-// extrema over a core.RowSpace — and its workers page rows through bounded
-// tile caches during range scans. Max scans work identically (and
-// bit-identically); trackers and repairs return ErrStreamed.
+// A streamed replica holds no dense matrix at all: it carries a
+// core.StreamScan — O(n) pruning extrema over a core.RowSpace — and its
+// workers page rows through bounded tile caches during range scans. Max
+// scans work identically (and bit-identically); trackers and repairs
+// return ErrStreamed.
 type Replica struct {
 	mu  sync.Mutex
 	m   *core.Matrix // nil for streamed replicas
@@ -153,22 +220,21 @@ type Replica struct {
 	ss   *core.StreamScan // streamed replicas: extrema + paging geometry
 }
 
-// NewReplica wraps a dense space for scanning at ζ bisection tolerance tol.
-func NewReplica(m *core.Matrix, tol float64) *Replica {
-	return &Replica{m: m, tol: tol}
-}
-
-// NewStreamedReplica wraps a row-streamed space for scanning at ζ bisection
-// tolerance tol without ever materializing it densely: construction streams
-// every row once to derive the O(n) pruning extrema (cancellable via ctx),
-// and each range scan holds at most maxTiles·tileRows rows (non-positive
-// values select the core.DefaultStream* geometry). The replica is immutable:
-// scans may run concurrently, but Patch/Invalidate have nothing to refresh
-// and the tracker/repair phases report ErrStreamed.
-func NewStreamedReplica(ctx context.Context, rs core.RowSpace, tol float64, tileRows, maxTiles int) (*Replica, error) {
-	if rs == nil {
-		return nil, errors.New("shard: nil row space")
+// NewReplica wraps space for scanning at ζ bisection tolerance tol. A
+// *core.Matrix is scanned in place (dense storage; the session may mutate
+// it and Patch the replica). Any other space is streamed, never
+// materialized densely: construction streams every row once to derive the
+// O(n) pruning extrema (cancellable via ctx), and each range scan holds at
+// most maxTiles·tileRows rows (non-positive values select the
+// core.DefaultStream* geometry).
+func NewReplica(ctx context.Context, space core.Space, tol float64, tileRows, maxTiles int) (*Replica, error) {
+	if space == nil {
+		return nil, errors.New("shard: nil space")
 	}
+	if m, ok := space.(*core.Matrix); ok {
+		return &Replica{m: m, tol: tol}, nil
+	}
+	rs := core.Rows(space)
 	ss, err := core.NewStreamScan(ctx, rs, tol, tileRows, maxTiles)
 	if err != nil {
 		return nil, err
@@ -181,7 +247,7 @@ func NewStreamedReplica(ctx context.Context, rs core.RowSpace, tol float64, tile
 // remote worker takes when the coordinator ships a tiered snapshot with
 // the extrema attached (streamed sessions are immutable, so the extrema
 // stay valid for the replica's lifetime). Scans over the result are
-// bit-identical to scans over a NewStreamedReplica of the same space.
+// bit-identical to scans over a NewReplica of the same space.
 func NewStreamedReplicaFrom(rs core.RowSpace, tol float64, tileRows, maxTiles int, ex core.StreamExtrema) (*Replica, error) {
 	if rs == nil {
 		return nil, errors.New("shard: nil row space")
@@ -195,7 +261,7 @@ func NewStreamedReplicaFrom(rs core.RowSpace, tol float64, tileRows, maxTiles in
 
 // Streamed reports whether this replica pages rows instead of holding a
 // dense matrix.
-func (r *Replica) Streamed() bool { return r.m == nil && r.rows != nil }
+func (r *Replica) Streamed() bool { return r.ss != nil }
 
 // Tol returns the ζ bisection tolerance the replica scans at.
 func (r *Replica) Tol() float64 { return r.tol }
@@ -222,6 +288,11 @@ func (r *Replica) N() int {
 	}
 	return r.rows.N()
 }
+
+// M returns the dense space the replica scans (nil for streamed
+// replicas). Mutating it without a matching Patch leaves the scan states
+// stale — the session layer owns that discipline.
+func (r *Replica) M() *core.Matrix { return r.m }
 
 // symmetric reports whether the replica's space certifies exact symmetry
 // (the halved triplet scans rely on it). The O(n²) check runs once and ζ
@@ -263,32 +334,18 @@ func (r *Replica) VarphiState() *core.VarphiScanState {
 	return r.vs
 }
 
-// mutated drops the cached symmetry after the session mutated the matrix.
-func (r *Replica) mutated() {
+// Invalidate drops the scan state of p (the matrix mutated without an
+// incremental repair); the next scan that needs one rebuilds it.
+func (r *Replica) Invalidate(p Param) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if p == Zeta {
+		r.zs = nil
+	} else {
+		r.vs = nil
+	}
 	r.sym = 0
 }
-
-// InvalidateZeta drops the ζ scan state (the matrix mutated without an
-// incremental repair); the next scan rebuilds it.
-func (r *Replica) InvalidateZeta() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.zs, r.sym = nil, 0
-}
-
-// InvalidateVarphi drops the ϕ scan state.
-func (r *Replica) InvalidateVarphi() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.vs, r.sym = nil, 0
-}
-
-// M returns the dense space the replica scans. Mutating it without a
-// matching Patch leaves the scan states stale — the session layer owns
-// that discipline.
-func (r *Replica) M() *core.Matrix { return r.m }
 
 // Patch refreshes whichever scan states have been built after the
 // underlying matrix mutated on the dirty rows (and, unless rowsOnly,
@@ -308,84 +365,99 @@ func (r *Replica) Patch(dirty []int, rowsOnly bool) {
 	}
 }
 
-// localWorker is the in-process Worker: serial scans over the shared
-// replica. Its parallelism budget is exactly one goroutine — the
-// coordinator's fan-out supplies the concurrency — so K shards scale to K
-// cores without oversubscribing the pool the unsharded kernels use.
+// mutated drops the cached symmetry after the session mutated the matrix.
+func (r *Replica) mutated() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.sym = 0
+}
+
+// scanState is a dense replica's ζ or ϕ scan state.
+type scanState interface {
+	N() int
+	MaxRange(ctx context.Context, xlo, xhi int, sym, pool bool) (float64, error)
+	CollectRange(ctx context.Context, xlo, xhi int, floor float64, pool bool) ([]core.BandTriplet, error)
+	RepairRange(ctx context.Context, xlo, xhi int, dirty []int, mask []bool, rowsOnly bool, floor float64, pool bool) ([]core.BandTriplet, error)
+}
+
+// state returns p's scan state, building it on first use. Streamed
+// replicas have none.
+func (r *Replica) state(ctx context.Context, p Param) (scanState, error) {
+	switch {
+	case r.Streamed():
+		return nil, ErrStreamed
+	case p == Zeta:
+		return r.ZetaState(ctx)
+	}
+	return r.VarphiState(), nil
+}
+
+// max runs job's range maximum, on the pool when pool is set. Without a
+// ζ scan state — no tracker asked for one — the pool worker scans once
+// with G at the seed, as core.ZetaTolCtx does, and keeps no n×n buffer.
+func (r *Replica) max(ctx context.Context, job ScanJob, pool bool) (float64, error) {
+	lo, hi, sym := job.Rows.Lo, job.Rows.Hi, job.Sym
+	switch {
+	case r.Streamed() && job.Param == Zeta:
+		return r.ss.ZetaMaxRange(ctx, lo, hi, sym, pool)
+	case r.Streamed():
+		return r.ss.VarphiMaxRange(ctx, lo, hi, sym, pool)
+	case job.Param == Zeta && pool && !r.hasZetaState():
+		return core.ZetaTolRangeCtx(ctx, r.m, r.tol, lo, hi, sym)
+	}
+	st, err := r.state(ctx, job.Param)
+	if err != nil {
+		return 0, err
+	}
+	return st.MaxRange(ctx, lo, hi, sym, pool)
+}
+
+// hasZetaState reports whether the ζ scan state is built.
+func (r *Replica) hasZetaState() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.zs != nil
+}
+
+// localWorker is the in-process Worker. A shard worker scans its range
+// serially on the calling goroutine — the coordinator's fan-out supplies
+// the concurrency, so K shards scale to K cores without oversubscribing
+// the shared pool — and the unsharded session's single worker (pool) runs
+// its range scans on internal/par.
 type localWorker struct {
-	rep *Replica
+	rep  *Replica
+	pool bool
 }
 
-func (w *localWorker) ZetaMax(ctx context.Context, job ScanJob) (MaxResult, error) {
-	if w.rep.Streamed() {
-		max, err := w.rep.ss.ZetaMaxRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Sym)
-		return MaxResult{Max: max}, err
-	}
-	st, err := w.rep.ZetaState(ctx)
-	if err != nil {
-		return MaxResult{}, err
-	}
-	max, err := st.MaxRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Sym)
-	return MaxResult{Max: max}, err
-}
-
-func (w *localWorker) ZetaBand(ctx context.Context, job BandJob) (BandResult, error) {
-	if w.rep.Streamed() {
-		return BandResult{}, ErrStreamed
-	}
-	st, err := w.rep.ZetaState(ctx)
-	if err != nil {
-		return BandResult{}, err
-	}
-	band, err := st.CollectRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Floor)
-	return BandResult{Band: band}, err
-}
-
-func (w *localWorker) ZetaRepair(ctx context.Context, job RepairJob) (BandResult, error) {
-	if w.rep.Streamed() {
-		return BandResult{}, ErrStreamed
-	}
-	mask := dirtyMask(w.rep.m.N(), job.Dirty)
-	st, err := w.rep.ZetaState(ctx)
-	if err != nil {
-		return BandResult{}, err
-	}
-	band, err := st.RepairRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Dirty, mask, job.RowsOnly, job.Floor)
-	return BandResult{Band: band}, err
-}
-
-func (w *localWorker) VarphiMax(ctx context.Context, job ScanJob) (MaxResult, error) {
-	if w.rep.Streamed() {
-		max, err := w.rep.ss.VarphiMaxRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Sym)
-		return MaxResult{Max: max}, err
-	}
-	max, err := w.rep.VarphiState().MaxRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Sym)
-	return MaxResult{Max: max}, err
-}
-
-func (w *localWorker) VarphiBand(ctx context.Context, job BandJob) (BandResult, error) {
-	if w.rep.Streamed() {
-		return BandResult{}, ErrStreamed
-	}
-	band, err := w.rep.VarphiState().CollectRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Floor)
-	return BandResult{Band: band}, err
-}
-
-func (w *localWorker) VarphiRepair(ctx context.Context, job RepairJob) (BandResult, error) {
-	if w.rep.Streamed() {
-		return BandResult{}, ErrStreamed
-	}
-	mask := dirtyMask(w.rep.m.N(), job.Dirty)
-	band, err := w.rep.VarphiState().RepairRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Dirty, mask, job.RowsOnly, job.Floor)
-	return BandResult{Band: band}, err
-}
-
-// NewLocalWorker wraps a replica as an in-process Worker: serial scans on
-// the calling goroutine, exactly the workers New builds. Exported so
-// transports can serve their replicas through the same code path (the
-// remote worker daemon) and so fault-tolerant pools can fall back to
-// coordinator-local computation when every remote worker is dead.
+// NewLocalWorker wraps a replica as an in-process shard Worker: serial
+// scans on the calling goroutine. Transports serve their replicas through
+// it (the remote worker daemon), and fault-tolerant pools fall back to it
+// for coordinator-local computation when every remote worker is dead.
 func NewLocalWorker(rep *Replica) Worker { return &localWorker{rep: rep} }
+
+func (w *localWorker) Max(ctx context.Context, job ScanJob) (MaxResult, error) {
+	max, err := w.rep.max(ctx, job, w.pool)
+	return MaxResult{Max: max}, err
+}
+
+func (w *localWorker) Band(ctx context.Context, job BandJob) (BandResult, error) {
+	st, err := w.rep.state(ctx, job.Param)
+	if err != nil {
+		return BandResult{}, err
+	}
+	band, err := st.CollectRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Floor, w.pool)
+	return BandResult{Band: band}, err
+}
+
+func (w *localWorker) Repair(ctx context.Context, job RepairJob) (BandResult, error) {
+	st, err := w.rep.state(ctx, job.Param)
+	if err != nil {
+		return BandResult{}, err
+	}
+	mask := dirtyMask(st.N(), job.Dirty)
+	band, err := st.RepairRange(ctx, job.Rows.Lo, job.Rows.Hi, job.Dirty, mask, job.RowsOnly, job.Floor, w.pool)
+	return BandResult{Band: band}, err
+}
 
 // dirtyMask builds the membership mask the repair scans consume.
 func dirtyMask(n int, dirty []int) []bool {
@@ -398,333 +470,97 @@ func dirtyMask(n int, dirty []int) []bool {
 	return mask
 }
 
-// Coordinator owns a row-range partition of a decay space and the shard
+// Tracker is the candidate-band state a coordinator seeds and repairs
+// through its workers: a *core.ZetaTracker or a *core.VarphiTracker.
+type Tracker interface {
+	Floor() float64
+	PatchAndDrop(dirty []int, rowsOnly bool) []bool
+	AbsorbRepair(band []core.BandTriplet) (value float64, needRescan bool)
+	Reseed(max float64, band []core.BandTriplet)
+}
+
+// Coordinator owns a row-range partition of a decay space and the
 // workers serving it. It is safe for concurrent use by readers; mutations
 // to the underlying space must be serialized externally (the public
 // Engine holds its session write lock across repairs), matching the
 // session contract of every other cached product.
 type Coordinator struct {
-	n      int
 	ranges []Range
 	work   []Worker
-	rep    *Replica // nil for work-grid coordinators (NewGrid)
+	rep    *Replica
 }
 
-// New builds a coordinator over the dense space m with k in-process
-// workers sharing one replica, at ζ bisection tolerance tol.
-func New(m *core.Matrix, tol float64, k int) (*Coordinator, error) {
-	if m == nil {
-		return nil, errors.New("shard: nil matrix")
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("shard: %d shards", k)
-	}
-	rep := NewReplica(m, tol)
-	c := &Coordinator{n: m.N(), ranges: Split(m.N(), k), rep: rep}
-	for i := 0; i < k; i++ {
-		c.work = append(c.work, &localWorker{rep: rep})
-	}
-	return c, nil
-}
-
-// NewStreamed builds a coordinator over a row-streamed space with k
-// in-process workers sharing one streamed replica — the out-of-core shard
-// path. ζ/ϕ maxima work bit-identically to New over the materialized
-// space while each worker's row working set stays at
-// maxTiles·tileRows rows (non-positive values select the core defaults);
-// trackers and repairs return ErrStreamed. Construction streams every row
-// once for the pruning extrema and is cancellable via ctx.
-func NewStreamed(ctx context.Context, rs core.RowSpace, tol float64, k, tileRows, maxTiles int) (*Coordinator, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("shard: %d shards", k)
-	}
-	rep, err := NewStreamedReplica(ctx, rs, tol, tileRows, maxTiles)
-	if err != nil {
-		return nil, err
-	}
-	c := &Coordinator{n: rep.N(), ranges: Split(rep.N(), k), rep: rep}
-	for i := 0; i < k; i++ {
-		c.work = append(c.work, &localWorker{rep: rep})
-	}
-	return c, nil
-}
-
-// NewWithWorkers builds a coordinator over an explicit worker set — one
-// row-range shard per worker — sharing the given replica for the
+// New builds a coordinator over rep with one row-range shard per worker.
+// The workers may be any Worker implementation — in-process shard workers
+// (NewLocalWorker), remote transport clients, or fault-tolerant wrappers
+// that reassign a dead worker's range to survivors — and rep holds the
 // coordinator-side state (tracker scan states, symmetry checks, local
-// fallback). The workers may be any Worker implementation: in-process
-// scanners, remote transport clients, or fault-tolerant wrappers that
-// reassign a dead worker's row range to survivors. Because every worker
-// computes with the same deterministic kernels over (replicas of) the same
-// space, and the coordinator merges partials by row range rather than
-// arrival order, results stay bit-identical to the unsharded scans no
-// matter which worker actually served each range.
-func NewWithWorkers(rep *Replica, workers []Worker) (*Coordinator, error) {
+// fallback). With no workers the coordinator has one in-process worker
+// whose range scans run on the shared internal/par pool: the unsharded
+// session. Every worker computes with the same deterministic kernels over
+// (replicas of) the same space, and partials merge by row range rather
+// than arrival order, so results are bit-identical whichever worker
+// served each range.
+func New(rep *Replica, workers []Worker) (*Coordinator, error) {
 	if rep == nil {
 		return nil, errors.New("shard: nil replica")
 	}
 	if len(workers) == 0 {
-		return nil, errors.New("shard: no workers")
+		workers = []Worker{&localWorker{rep: rep, pool: true}}
 	}
-	n := rep.N()
-	return &Coordinator{n: n, ranges: Split(n, len(workers)), work: append([]Worker(nil), workers...), rep: rep}, nil
-}
-
-// NewGrid builds a work-dispatch coordinator over [0, n) with no replica:
-// only the EachRange fan-out is available (the per-tx-row trace
-// aggregation uses it).
-func NewGrid(n, k int) *Coordinator {
-	if k < 1 {
-		k = 1
-	}
-	c := &Coordinator{n: n, ranges: Split(n, k)}
-	for i := 0; i < k; i++ {
-		c.work = append(c.work, nil)
-	}
-	return c
+	return &Coordinator{ranges: Split(rep.N(), len(workers)), work: slices.Clone(workers), rep: rep}, nil
 }
 
 // Shards returns the number of shards K.
 func (c *Coordinator) Shards() int { return len(c.ranges) }
 
-// Ranges returns the row-range partition.
-func (c *Coordinator) Ranges() []Range { return append([]Range(nil), c.ranges...) }
-
-// Replica returns the shared in-process replica (nil for NewGrid
-// coordinators).
+// Replica returns the coordinator-side replica.
 func (c *Coordinator) Replica() *Replica { return c.rep }
 
-// EachRange partitions [0, n) into the coordinator's K shards and runs
-// body(shard, range) concurrently, one goroutine per shard — the generic
-// fan-out every sharded phase is built on. n may differ from the
-// coordinator's row count only for NewGrid work coordinators (the trace
-// aggregation partitions readings' tx rows). The first error cancels the
-// remaining shards' contexts and is returned; bodies poll ctx per row, so
-// cancellation propagates to every worker well within a row's scan time.
-func (c *Coordinator) EachRange(ctx context.Context, n int, body func(ctx context.Context, shard int, r Range) error) error {
-	ranges := c.ranges
-	if n != c.n {
-		ranges = Split(n, len(c.work))
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i, r := range ranges {
-		if r.Len() == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, r Range) {
-			defer wg.Done()
-			if err := body(ctx, i, r); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				cancel()
-			}
-		}(i, r)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
+// Max runs the exact scan of p through the shards: per-shard row-range
+// maxima merged with max — bit-identical to core.ZetaTol and core.Varphi.
+// Symmetric spaces scan the halved triplet set, exactly as the unsharded
+// kernels do.
+func (c *Coordinator) Max(ctx context.Context, p Param) (float64, error) {
+	return c.maxPhase(ctx, p, c.rep.symmetric())
 }
 
-// maxPhase fans a ScanJob over the shards and merges the partial maxima.
-func (c *Coordinator) maxPhase(ctx context.Context, sym bool, call func(ctx context.Context, w Worker, job ScanJob) (MaxResult, error), floor float64) (float64, error) {
-	maxes := make([]float64, len(c.work))
-	err := c.EachRange(ctx, c.n, func(ctx context.Context, i int, r Range) error {
-		res, err := call(ctx, c.work[i], ScanJob{Rows: r, Sym: sym})
-		if err != nil {
-			return err
-		}
-		maxes[i] = res.Max
-		return nil
-	})
+// Tracker builds the incremental tracker of p through the shards: a max
+// phase fixes the exact maximum, a band phase collects every triplet above
+// the tracker floor, and the merged band seeds the global tracker — which
+// shares its scan state with in-process workers, so repairs route back
+// through them. It returns the tracker and the tracked value.
+func (c *Coordinator) Tracker(ctx context.Context, p Param) (Tracker, float64, error) {
+	// The scan state is built before the scans: in-process workers read it.
+	st, err := c.rep.state(ctx, p)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
-	best := floor
-	for _, m := range maxes {
-		if m > best {
-			best = m
-		}
-	}
-	return best, nil
-}
-
-// bandPhase fans a BandJob over the shards and concatenates the collected
-// bands in shard order (deterministic; no consumer depends on order).
-func (c *Coordinator) bandPhase(ctx context.Context, floor float64, call func(ctx context.Context, w Worker, job BandJob) (BandResult, error)) ([]core.BandTriplet, error) {
-	parts := make([][]core.BandTriplet, len(c.work))
-	err := c.EachRange(ctx, c.n, func(ctx context.Context, i int, r Range) error {
-		res, err := call(ctx, c.work[i], BandJob{Rows: r, Floor: floor})
-		if err != nil {
-			return err
-		}
-		parts[i] = res.Band
-		return nil
-	})
+	max, band, err := c.fullScan(ctx, p)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	var band []core.BandTriplet
-	for _, p := range parts {
-		band = append(band, p...)
+	if p == Zeta {
+		return core.NewZetaTrackerFrom(st.(*core.ZetaScanState), max, band), max, nil
 	}
-	return band, nil
+	return core.NewVarphiTrackerFrom(st.(*core.VarphiScanState), max, band), max, nil
 }
 
-// repairPhase fans a RepairJob over the shards and concatenates the
-// dirty-incident collections.
-func (c *Coordinator) repairPhase(ctx context.Context, dirty []int, rowsOnly bool, floor float64, call func(ctx context.Context, w Worker, job RepairJob) (BandResult, error)) ([]core.BandTriplet, error) {
-	parts := make([][]core.BandTriplet, len(c.work))
-	err := c.EachRange(ctx, c.n, func(ctx context.Context, i int, r Range) error {
-		res, err := call(ctx, c.work[i], RepairJob{Rows: r, Dirty: dirty, RowsOnly: rowsOnly, Floor: floor})
-		if err != nil {
-			return err
-		}
-		parts[i] = res.Band
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var band []core.BandTriplet
-	for _, p := range parts {
-		band = append(band, p...)
-	}
-	return band, nil
-}
-
-// Zeta runs the sharded exact metricity scan: per-shard row-range maxima
-// merged with max — bit-identical to core.ZetaTol. Symmetric spaces scan
-// the halved triplet set, exactly as the unsharded kernel does.
-func (c *Coordinator) Zeta(ctx context.Context) (float64, error) {
-	return c.maxPhase(ctx, c.rep.symmetric(), func(ctx context.Context, w Worker, job ScanJob) (MaxResult, error) {
-		return w.ZetaMax(ctx, job)
-	}, core.DefaultZetaFloor)
-}
-
-// Varphi runs the sharded exact ϕ scan (see Zeta).
-func (c *Coordinator) Varphi(ctx context.Context) (float64, error) {
-	return c.maxPhase(ctx, c.rep.symmetric(), func(ctx context.Context, w Worker, job ScanJob) (MaxResult, error) {
-		return w.VarphiMax(ctx, job)
-	}, core.VarphiFloor)
-}
-
-// ZetaTracker builds the incremental ζ tracker through the shards: a
-// max phase fixes the exact maximum, a band phase collects every triplet
-// above the tracker floor, and the merged band seeds the global tracker —
-// which then shares its scan replica with the workers, so repairs route
-// back through them.
-func (c *Coordinator) ZetaTracker(ctx context.Context) (*core.ZetaTracker, error) {
-	if c.rep.Streamed() {
-		return nil, ErrStreamed
-	}
-	st, err := c.rep.ZetaState(ctx)
-	if err != nil {
-		return nil, err
-	}
-	zmax, err := c.maxPhase(ctx, false, func(ctx context.Context, w Worker, job ScanJob) (MaxResult, error) {
-		return w.ZetaMax(ctx, job)
-	}, core.DefaultZetaFloor)
-	if err != nil {
-		return nil, err
-	}
-	var band []core.BandTriplet
-	if zmax > core.DefaultZetaFloor {
-		band, err = c.bandPhase(ctx, core.ZetaBandFloor(zmax), func(ctx context.Context, w Worker, job BandJob) (BandResult, error) {
-			return w.ZetaBand(ctx, job)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return core.NewZetaTrackerFrom(st, zmax, band), nil
-}
-
-// VarphiTracker is ZetaTracker's ϕ analogue.
-func (c *Coordinator) VarphiTracker(ctx context.Context) (*core.VarphiTracker, error) {
-	if c.rep.Streamed() {
-		return nil, ErrStreamed
-	}
-	st := c.rep.VarphiState()
-	vmax, err := c.maxPhase(ctx, false, func(ctx context.Context, w Worker, job ScanJob) (MaxResult, error) {
-		return w.VarphiMax(ctx, job)
-	}, core.VarphiFloor)
-	if err != nil {
-		return nil, err
-	}
-	var band []core.BandTriplet
-	if vmax > core.VarphiFloor {
-		band, err = c.bandPhase(ctx, core.VarphiBandFloor(vmax), func(ctx context.Context, w Worker, job BandJob) (BandResult, error) {
-			return w.VarphiBand(ctx, job)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return core.NewVarphiTrackerFrom(st, vmax, band), nil
-}
-
-// RepairZeta routes a session repair through the shards: the tracker
-// patches the shared replica and drops dirty candidates, every worker
-// re-scans the dirty-incident triplets of its row range (dirty rows map
-// to their owning shards' full-row rescans), and the merged band restores
-// the tracked value. A drained band falls back to the full sharded
-// two-phase rescan. Bit-identical to ZetaTracker.Repair.
-func (c *Coordinator) RepairZeta(ctx context.Context, t *core.ZetaTracker, dirty []int, rowsOnly bool) (float64, error) {
+// Repair routes a session repair of p's tracker t through the shards: the
+// tracker patches the shared replica and drops dirty candidates, every
+// worker re-scans the dirty-incident triplets of its row range (dirty rows
+// map to their owning shards' full-row rescans), and the merged band
+// restores the tracked value. A drained band falls back to the full
+// sharded two-phase rescan. Bit-identical to the tracker's own Repair.
+func (c *Coordinator) Repair(ctx context.Context, p Param, t Tracker, dirty []int, rowsOnly bool) (float64, error) {
 	if c.rep.Streamed() {
 		return 0, ErrStreamed
 	}
 	c.rep.mutated()
 	t.PatchAndDrop(dirty, rowsOnly)
-	band, err := c.repairPhase(ctx, dirty, rowsOnly, t.Floor(), func(ctx context.Context, w Worker, job RepairJob) (BandResult, error) {
-		return w.ZetaRepair(ctx, job)
-	})
-	if err != nil {
-		return 0, err
-	}
-	z, needRescan := t.AbsorbRepair(band)
-	if !needRescan {
-		return z, nil
-	}
-	zmax, err := c.maxPhase(ctx, false, func(ctx context.Context, w Worker, job ScanJob) (MaxResult, error) {
-		return w.ZetaMax(ctx, job)
-	}, core.DefaultZetaFloor)
-	if err != nil {
-		return 0, err
-	}
-	var full []core.BandTriplet
-	if zmax > core.DefaultZetaFloor {
-		full, err = c.bandPhase(ctx, core.ZetaBandFloor(zmax), func(ctx context.Context, w Worker, job BandJob) (BandResult, error) {
-			return w.ZetaBand(ctx, job)
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-	t.Reseed(zmax, full)
-	return zmax, nil
-}
-
-// RepairVarphi is RepairZeta's ϕ analogue.
-func (c *Coordinator) RepairVarphi(ctx context.Context, t *core.VarphiTracker, dirty []int, rowsOnly bool) (float64, error) {
-	if c.rep.Streamed() {
-		return 0, ErrStreamed
-	}
-	c.rep.mutated()
-	t.PatchAndDrop(dirty, rowsOnly)
-	band, err := c.repairPhase(ctx, dirty, rowsOnly, t.Floor(), func(ctx context.Context, w Worker, job RepairJob) (BandResult, error) {
-		return w.VarphiRepair(ctx, job)
+	floor := t.Floor()
+	band, err := c.bandPhase(ctx, func(ctx context.Context, w Worker, r Range) (BandResult, error) {
+		return w.Repair(ctx, RepairJob{Param: p, Rows: r, Dirty: dirty, RowsOnly: rowsOnly, Floor: floor})
 	})
 	if err != nil {
 		return 0, err
@@ -733,21 +569,70 @@ func (c *Coordinator) RepairVarphi(ctx context.Context, t *core.VarphiTracker, d
 	if !needRescan {
 		return v, nil
 	}
-	vmax, err := c.maxPhase(ctx, false, func(ctx context.Context, w Worker, job ScanJob) (MaxResult, error) {
-		return w.VarphiMax(ctx, job)
-	}, core.VarphiFloor)
+	max, full, err := c.fullScan(ctx, p)
 	if err != nil {
 		return 0, err
 	}
-	var full []core.BandTriplet
-	if vmax > core.VarphiFloor {
-		full, err = c.bandPhase(ctx, core.VarphiBandFloor(vmax), func(ctx context.Context, w Worker, job BandJob) (BandResult, error) {
-			return w.VarphiBand(ctx, job)
-		})
-		if err != nil {
-			return 0, err
+	t.Reseed(max, full)
+	return max, nil
+}
+
+// fullScan is a tracker's full two-phase scan of p through the shards:
+// the exact maximum over every ordered triplet, then every triplet above
+// the band floor a margin below it.
+func (c *Coordinator) fullScan(ctx context.Context, p Param) (float64, []core.BandTriplet, error) {
+	max, err := c.maxPhase(ctx, p, false)
+	if err != nil || max <= p.floor() {
+		return max, nil, err
+	}
+	floor := p.bandFloor(max)
+	band, err := c.bandPhase(ctx, func(ctx context.Context, w Worker, r Range) (BandResult, error) {
+		return w.Band(ctx, BandJob{Param: p, Rows: r, Floor: floor})
+	})
+	return max, band, err
+}
+
+// gather runs call on every shard's worker and range, concurrently, and
+// returns the results in shard order.
+func gather[T any](ctx context.Context, c *Coordinator, call func(ctx context.Context, w Worker, r Range) (T, error)) ([]T, error) {
+	out := make([]T, len(c.work))
+	err := EachRange(ctx, c.ranges, func(ctx context.Context, i int, r Range) error {
+		var err error
+		out[i], err = call(ctx, c.work[i], r)
+		return err
+	})
+	return out, err
+}
+
+// maxPhase fans a ScanJob of p over the shards and merges the partial
+// maxima.
+func (c *Coordinator) maxPhase(ctx context.Context, p Param, sym bool) (float64, error) {
+	parts, err := gather(ctx, c, func(ctx context.Context, w Worker, r Range) (MaxResult, error) {
+		return w.Max(ctx, ScanJob{Param: p, Rows: r, Sym: sym})
+	})
+	if err != nil {
+		return 0, err
+	}
+	best := p.floor()
+	for _, m := range parts {
+		if m.Max > best {
+			best = m.Max
 		}
 	}
-	t.Reseed(vmax, full)
-	return vmax, nil
+	return best, nil
+}
+
+// bandPhase fans a band or repair job over the shards and concatenates
+// the collected bands in shard order (deterministic; no consumer depends
+// on order).
+func (c *Coordinator) bandPhase(ctx context.Context, call func(ctx context.Context, w Worker, r Range) (BandResult, error)) ([]core.BandTriplet, error) {
+	parts, err := gather(ctx, c, call)
+	if err != nil {
+		return nil, err
+	}
+	var band []core.BandTriplet
+	for _, p := range parts {
+		band = append(band, p.Band...)
+	}
+	return band, nil
 }

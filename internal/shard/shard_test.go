@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -25,6 +26,26 @@ func randMatrix(t *testing.T, n int, seed uint64) *core.Matrix {
 func symMatrix(t *testing.T, n int, seed uint64) *core.Matrix {
 	t.Helper()
 	return core.Symmetrized(randMatrix(t, n, seed))
+}
+
+// coordinator builds a coordinator over a dense replica of m with k
+// in-process shard workers, or with none (k = 0): the unsharded session's
+// single worker on the shared pool.
+func coordinator(t *testing.T, m *core.Matrix, k int) *shard.Coordinator {
+	t.Helper()
+	rep, err := shard.NewReplica(context.Background(), m, 1e-12, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := make([]shard.Worker, k)
+	for i := range workers {
+		workers[i] = shard.NewLocalWorker(rep)
+	}
+	c, err := shard.New(rep, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestSplit(t *testing.T) {
@@ -55,7 +76,8 @@ func TestSplit(t *testing.T) {
 
 // TestShardedScansMatchCore: the coordinator's merged ζ/ϕ equal the
 // unsharded kernels bit for bit, for asymmetric and exactly symmetric
-// spaces across shard counts (including K > n).
+// spaces across shard counts (including K > n, and the single pool worker
+// of an unsharded session).
 func TestShardedScansMatchCore(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{3, 5, 24, 64} {
@@ -68,19 +90,16 @@ func TestShardedScansMatchCore(t *testing.T) {
 			}
 			wantZ := core.ZetaTol(m, 1e-12)
 			wantV := core.Varphi(m)
-			for _, k := range []int{1, 2, 3, 8, n + 3} {
-				c, err := shard.New(m, 1e-12, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				z, err := c.Zeta(ctx)
+			for _, k := range []int{0, 1, 2, 3, 8, n + 3} {
+				c := coordinator(t, m, k)
+				z, err := c.Max(ctx, shard.Zeta)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if z != wantZ {
 					t.Fatalf("n=%d sym=%v k=%d: sharded zeta %v, core %v", n, sym, k, z, wantZ)
 				}
-				v, err := c.Varphi(ctx)
+				v, err := c.Max(ctx, shard.Varphi)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -101,15 +120,12 @@ func TestShardedTrackerMatchesPool(t *testing.T) {
 	n := 48
 	mShard := randMatrix(t, n, 7)
 	mPool := mShard.Clone()
-	c, err := shard.New(mShard, 1e-12, 3)
+	c := coordinator(t, mShard, 3)
+	zs, z0, err := c.Tracker(ctx, shard.Zeta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zs, err := c.ZetaTracker(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs, err := c.VarphiTracker(ctx)
+	vs, v0, err := c.Tracker(ctx, shard.Varphi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +137,8 @@ func TestShardedTrackerMatchesPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if zs.Zeta() != zp.Zeta() || vs.Varphi() != vp.Varphi() {
-		t.Fatalf("seeded trackers diverge: zeta %v vs %v, varphi %v vs %v",
-			zs.Zeta(), zp.Zeta(), vs.Varphi(), vp.Varphi())
+	if z0 != zp.Zeta() || v0 != vp.Varphi() {
+		t.Fatalf("seeded trackers diverge: zeta %v vs %v, varphi %v vs %v", z0, zp.Zeta(), v0, vp.Varphi())
 	}
 	src := rng.New(99)
 	// Steps 0–5 rewrite one row; steps 6–9 rewrite a row and its column
@@ -155,11 +170,11 @@ func TestShardedTrackerMatchesPool(t *testing.T) {
 			}
 		}
 		dirty := []int{r}
-		zS, err := c.RepairZeta(ctx, zs, dirty, rowsOnly)
+		zS, err := c.Repair(ctx, shard.Zeta, zs, dirty, rowsOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vS, err := c.RepairVarphi(ctx, vs, dirty, rowsOnly)
+		vS, err := c.Repair(ctx, shard.Varphi, vs, dirty, rowsOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,19 +198,16 @@ func TestShardedTrackerMatchesPool(t *testing.T) {
 // from all workers.
 func TestShardedCancellation(t *testing.T) {
 	m := randMatrix(t, 300, 5)
-	c, err := shard.New(m, 1e-12, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := coordinator(t, m, 4)
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Zeta(pre); err != context.Canceled {
+	if _, err := c.Max(pre, shard.Zeta); err != context.Canceled {
 		t.Fatalf("pre-cancelled Zeta err = %v", err)
 	}
-	if _, err := c.Varphi(pre); err != context.Canceled {
+	if _, err := c.Max(pre, shard.Varphi); err != context.Canceled {
 		t.Fatalf("pre-cancelled Varphi err = %v", err)
 	}
-	if _, err := c.ZetaTracker(pre); err != context.Canceled {
+	if _, _, err := c.Tracker(pre, shard.Zeta); err != context.Canceled {
 		t.Fatalf("pre-cancelled ZetaTracker err = %v", err)
 	}
 
@@ -205,7 +217,7 @@ func TestShardedCancellation(t *testing.T) {
 		cancel2()
 	}()
 	start := time.Now()
-	_, err = c.Zeta(ctx)
+	_, err := c.Max(ctx, shard.Zeta)
 	elapsed := time.Since(start)
 	if err != context.Canceled && err != context.DeadlineExceeded {
 		// The scan may legitimately finish before the cancel fires on a
@@ -219,15 +231,12 @@ func TestShardedCancellation(t *testing.T) {
 	}
 }
 
-// TestGridCoordinator: the replica-free work grid fans ranges out and
-// propagates the first error.
-func TestGridCoordinator(t *testing.T) {
-	c := shard.NewGrid(100, 4)
-	if c.Shards() != 4 {
-		t.Fatalf("Shards() = %d", c.Shards())
-	}
+// TestEachRange: the fan-out dispatches every row of a Split exactly
+// once and propagates the first error.
+func TestEachRange(t *testing.T) {
+	ranges := shard.Split(100, 4)
 	seen := make([]bool, 100)
-	err := c.EachRange(context.Background(), 100, func(ctx context.Context, s int, r shard.Range) error {
+	err := shard.EachRange(context.Background(), ranges, func(ctx context.Context, s int, r shard.Range) error {
 		for i := r.Lo; i < r.Hi; i++ {
 			seen[i] = true // disjoint ranges: no two shards write the same cell
 		}
@@ -243,7 +252,7 @@ func TestGridCoordinator(t *testing.T) {
 	}
 	// An erroring shard cancels the others' contexts.
 	errBoom := context.DeadlineExceeded
-	err = c.EachRange(context.Background(), 100, func(ctx context.Context, s int, r shard.Range) error {
+	err = shard.EachRange(context.Background(), ranges, func(ctx context.Context, s int, r shard.Range) error {
 		if s == 2 {
 			return errBoom
 		}
@@ -252,5 +261,33 @@ func TestGridCoordinator(t *testing.T) {
 	})
 	if err != errBoom {
 		t.Fatalf("EachRange err = %v, want first error", err)
+	}
+}
+
+// TestUnshardedZetaKeepsNoScreen: the unsharded session's untracked ζ
+// read builds its n×n screen for the scan only, as core.ZetaTolCtx does,
+// while in-process shards share one cached on the replica.
+func TestUnshardedZetaKeepsNoScreen(t *testing.T) {
+	const n = 400
+	screen := uint64(n * n * 8)
+	for _, tc := range []struct {
+		k    int
+		keep bool
+	}{{0, false}, {2, true}} {
+		m := randMatrix(t, n, 11)
+		c := coordinator(t, m, tc.k)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := c.Max(context.Background(), shard.Zeta); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		if kept >= int64(screen)/2 != tc.keep {
+			t.Fatalf("k=%d: ζ read kept %d bytes live (screen %d bytes), want kept=%v", tc.k, kept, screen, tc.keep)
+		}
+		runtime.KeepAlive(c)
 	}
 }

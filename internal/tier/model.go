@@ -13,9 +13,10 @@
 // behind the ordinary core.Space / core.RowSpace / core.Symmetric
 // contracts, so every existing kernel — ζ/ϕ tile scans, sampled
 // estimators, affectance, sharded range scans, sim — runs unchanged. The
-// third tier, out-of-core tile streaming for the sharded triplet scans,
-// lives in core.StreamScan / internal/shard.NewStreamed and pages rows of
-// a tier.Space (or any RowSpace) through a bounded tile cache.
+// third tier, out-of-core tile streaming for the exact triplet scans,
+// lives in core.StreamScan (a streamed internal/shard.NewReplica) and
+// pages rows of a tier.Space (or any RowSpace) through a bounded tile
+// cache.
 package tier
 
 import (

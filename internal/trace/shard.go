@@ -23,9 +23,9 @@ import (
 const shardedDensePairs = 1 << 28
 
 // CleanSharded is Clean with the aggregation, imputation and conversion
-// fanned out over per-tx-row shards: a row-range coordinator partitions
-// the n rows into `shards` contiguous bands, each worker counting-sorts
-// and aggregates only its own tx rows' readings, imputation fills each
+// fanned out over per-tx-row shards: shard.Split partitions the n rows
+// into `shards` contiguous bands, each worker counting-sorts and
+// aggregates only its own tx rows' readings, imputation fills each
 // band against the shared aggregated grid, and conversion produces the
 // validated matrix band-wise. Results — matrix and report — are
 // bit-identical to Clean for any shard count: per-pair groups preserve
@@ -74,7 +74,7 @@ func CleanSharded(ctx context.Context, c *Campaign, opts Options, shards int) (*
 		return nil, nil, fmt.Errorf("trace: %d points for %d nodes", len(opts.Points), n)
 	}
 	rep := &Report{N: n, Readings: len(c.Readings), Malformed: c.Malformed}
-	coord := shard.NewGrid(n, shards)
+	ranges := shard.Split(n, shards)
 
 	// Phase 1 — sharded aggregation: each worker counting-sorts the
 	// readings whose tx row it owns and reduces repeats into its band of
@@ -82,7 +82,7 @@ func CleanSharded(ctx context.Context, c *Campaign, opts Options, shards int) (*
 	// order exactly as the dense counting sort does.
 	rssi := make([]float64, n*n)
 	measured := make([]int, shards)
-	err := coord.EachRange(ctx, n, func(ctx context.Context, s int, r shard.Range) error {
+	err := shard.EachRange(ctx, ranges, func(ctx context.Context, s int, r shard.Range) error {
 		m, err := aggregateRows(ctx, c, n, r, opts.Aggregate, rssi)
 		measured[s] = m
 		return err
@@ -104,14 +104,14 @@ func CleanSharded(ctx context.Context, c *Campaign, opts Options, shards int) (*
 	}
 
 	// Phase 3 — sharded imputation.
-	if err := imputeSharded(ctx, coord, rssi, n, opts, rep); err != nil {
+	if err := imputeSharded(ctx, ranges, rssi, n, opts, rep); err != nil {
 		return nil, nil, err
 	}
 
 	// Phase 4 — sharded dBm→decay conversion straight into the matrix's
 	// own storage (see CleanCtx for the exponent clamp rationale).
 	flat := make([]float64, n*n)
-	err = coord.EachRange(ctx, n, func(ctx context.Context, _ int, r shard.Range) error {
+	err = shard.EachRange(ctx, ranges, func(ctx context.Context, _ int, r shard.Range) error {
 		for i := r.Lo; i < r.Hi; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -208,11 +208,11 @@ func aggregateRows(ctx context.Context, c *Campaign, n int, r shard.Range, agg A
 // entries that stage can never write (reciprocal fill reads measured
 // entries and writes unmeasured ones; the k-nearest stage reads the frozen
 // snapshot), so fills are race-free and partition-independent.
-func imputeSharded(ctx context.Context, coord *shard.Coordinator, rssi []float64, n int, opts Options, rep *Report) error {
-	shards := coord.Shards()
+func imputeSharded(ctx context.Context, ranges []shard.Range, rssi []float64, n int, opts Options, rep *Report) error {
+	shards := len(ranges)
 	if !opts.NoReciprocal {
 		filled := make([]int, shards)
-		err := coord.EachRange(ctx, n, func(ctx context.Context, s int, r shard.Range) error {
+		err := shard.EachRange(ctx, ranges, func(ctx context.Context, s int, r shard.Range) error {
 			count := 0
 			for i := r.Lo; i < r.Hi; i++ {
 				if err := ctx.Err(); err != nil {
@@ -236,18 +236,18 @@ func imputeSharded(ctx context.Context, coord *shard.Coordinator, rssi []float64
 		}
 	}
 	if opts.Points != nil {
-		if err := pathLossSharded(ctx, coord, rssi, n, opts, rep); err != nil {
+		if err := pathLossSharded(ctx, ranges, rssi, n, opts, rep); err != nil {
 			return err
 		}
 	} else {
-		if err := knnSharded(ctx, coord, rssi, n, opts.K, rep); err != nil {
+		if err := knnSharded(ctx, ranges, rssi, n, opts.K, rep); err != nil {
 			return err
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return fallbackSharded(ctx, coord, rssi, n, rep)
+	return fallbackSharded(ctx, ranges, rssi, n, rep)
 }
 
 // pathLossSharded fits the log-distance model over the measured pairs —
@@ -255,11 +255,11 @@ func imputeSharded(ctx context.Context, coord *shard.Coordinator, rssi []float64
 // pipeline's row-major sequence exactly — and fills each band's missing
 // pairs from the fit. A degenerate fit falls back to the k-nearest
 // pipeline, as in the dense path.
-func pathLossSharded(ctx context.Context, coord *shard.Coordinator, rssi []float64, n int, opts Options, rep *Report) error {
-	shards := coord.Shards()
+func pathLossSharded(ctx context.Context, ranges []shard.Range, rssi []float64, n int, opts Options, rep *Report) error {
+	shards := len(ranges)
 	xsPart := make([][]float64, shards)
 	ysPart := make([][]float64, shards)
-	err := coord.EachRange(ctx, n, func(ctx context.Context, s int, r shard.Range) error {
+	err := shard.EachRange(ctx, ranges, func(ctx context.Context, s int, r shard.Range) error {
 		var xs, ys []float64
 		for i := r.Lo; i < r.Hi; i++ {
 			if err := ctx.Err(); err != nil {
@@ -293,11 +293,11 @@ func pathLossSharded(ctx context.Context, coord *shard.Coordinator, rssi []float
 	if err != nil {
 		// Too few (or degenerate) measurements for a fit; the k-nearest
 		// pipeline still applies.
-		return knnSharded(ctx, coord, rssi, n, opts.K, rep)
+		return knnSharded(ctx, ranges, rssi, n, opts.K, rep)
 	}
 	rep.Fit = &PathLossFit{InterceptDBm: a, Exponent: -b / 10, R2: r2, Pairs: len(xs)}
 	filled := make([]int, shards)
-	err = coord.EachRange(ctx, n, func(ctx context.Context, s int, r shard.Range) error {
+	err = shard.EachRange(ctx, ranges, func(ctx context.Context, s int, r shard.Range) error {
 		count := 0
 		for i := r.Lo; i < r.Hi; i++ {
 			if err := ctx.Err(); err != nil {
@@ -330,10 +330,10 @@ func pathLossSharded(ctx context.Context, coord *shard.Coordinator, rssi []float
 // knnSharded runs the k-nearest-row prediction band-wise against a shared
 // pre-imputation snapshot (the one extra full grid the k-nearest route
 // costs, exactly as in the dense pipeline).
-func knnSharded(ctx context.Context, coord *shard.Coordinator, rssi []float64, n, k int, rep *Report) error {
+func knnSharded(ctx context.Context, ranges []shard.Range, rssi []float64, n, k int, rep *Report) error {
 	snap := append([]float64(nil), rssi...)
-	filled := make([]int, coord.Shards())
-	err := coord.EachRange(ctx, n, func(ctx context.Context, s int, r shard.Range) error {
+	filled := make([]int, len(ranges))
+	err := shard.EachRange(ctx, ranges, func(ctx context.Context, s int, r shard.Range) error {
 		filled[s] = knnRows(ctx, snap, rssi, n, k, r.Lo, r.Hi)
 		return ctx.Err()
 	})
@@ -351,10 +351,10 @@ func knnSharded(ctx context.Context, coord *shard.Coordinator, rssi []float64, n
 // multiset does not depend on collection order); when no band reports a
 // missing entry the collection is skipped outright — an n² saving the
 // dense pipeline does not attempt.
-func fallbackSharded(ctx context.Context, coord *shard.Coordinator, rssi []float64, n int, rep *Report) error {
-	shards := coord.Shards()
+func fallbackSharded(ctx context.Context, ranges []shard.Range, rssi []float64, n int, rep *Report) error {
+	shards := len(ranges)
 	missing := make([]bool, shards)
-	err := coord.EachRange(ctx, n, func(ctx context.Context, s int, r shard.Range) error {
+	err := shard.EachRange(ctx, ranges, func(ctx context.Context, s int, r shard.Range) error {
 		for i := r.Lo; i < r.Hi; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -380,7 +380,7 @@ func fallbackSharded(ctx context.Context, coord *shard.Coordinator, rssi []float
 		mu    sync.Mutex
 		known []float64
 	)
-	err = coord.EachRange(ctx, n, func(ctx context.Context, s int, r shard.Range) error {
+	err = shard.EachRange(ctx, ranges, func(ctx context.Context, s int, r shard.Range) error {
 		var local []float64
 		for i := r.Lo; i < r.Hi; i++ {
 			if err := ctx.Err(); err != nil {
@@ -405,7 +405,7 @@ func fallbackSharded(ctx context.Context, coord *shard.Coordinator, rssi []float
 	}
 	med := medianOfMultiset(known)
 	filled := make([]int, shards)
-	err = coord.EachRange(ctx, n, func(ctx context.Context, s int, r shard.Range) error {
+	err = shard.EachRange(ctx, ranges, func(ctx context.Context, s int, r shard.Range) error {
 		count := 0
 		for i := r.Lo; i < r.Hi; i++ {
 			for j := 0; j < n; j++ {

@@ -2,9 +2,11 @@ package decaynet_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -455,5 +457,81 @@ func TestRemoteCtxCancelledPromptly(t *testing.T) {
 	// value with a fresh injector-free engine instead.
 	if z := ref.Zeta(); z <= 0 || math.IsNaN(z) {
 		t.Fatalf("reference Zeta = %v", z)
+	}
+}
+
+// acceptCounter counts the connections a worker listener accepts.
+type acceptCounter struct {
+	net.Listener
+	n *atomic.Int64
+}
+
+func (l acceptCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.n.Add(1)
+	}
+	return c, err
+}
+
+// TestRemoteClosedEngineFails: after Close, a remote session neither
+// redials its workers nor reports a value it did not compute. An Update's
+// repair fails and invalidates instead of caching ζ = 0, and the next ζ
+// and φ reads fail with an error wrapping remote.ErrClosed while the
+// worker listeners accept no new connection.
+func TestRemoteClosedEngineFails(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var (
+		accepts atomic.Int64
+		addrs   []string
+		wg      sync.WaitGroup
+	)
+	for range 2 {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs = append(addrs, ln.Addr().String())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			remote.Serve(ctx, acceptCounter{ln, &accepts}, remote.ServerOptions{})
+		}()
+	}
+	t.Cleanup(func() {
+		cancel()
+		wg.Wait()
+	})
+	eng, err := decaynet.NewEngine(
+		decaynet.UsingSpace(testMatrix(t, 24, 5, false)),
+		decaynet.PairedLinks(),
+		decaynet.WithMutationTracking(),
+		decaynet.WithRemoteWorkers(addrs...),
+		decaynet.WithRemoteTweak(fastPool),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.ZetaCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.PhiCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := accepts.Load()
+	if err := eng.SetDecay(0, 1, 123.5); err != nil {
+		t.Fatal(err)
+	}
+	if z, err := eng.ZetaCtx(ctx); !errors.Is(err, remote.ErrClosed) {
+		t.Fatalf("ZetaCtx after Close = %v, %v; want an error wrapping ErrClosed", z, err)
+	}
+	if phi, err := eng.PhiCtx(ctx); !errors.Is(err, remote.ErrClosed) {
+		t.Fatalf("PhiCtx after Close = %v, %v; want an error wrapping ErrClosed", phi, err)
+	}
+	if n := accepts.Load() - before; n != 0 {
+		t.Fatalf("closed engine opened %d new worker connections", n)
 	}
 }

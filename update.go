@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"decaynet/internal/scenario"
+	"decaynet/internal/shard"
 	"decaynet/internal/sinr"
 )
 
@@ -190,12 +191,7 @@ func (e *Engine) Update(m Mutation) error {
 	// --- Repair the cached products against the dirty node set. ---
 	if len(dirty) > 0 {
 		rowsOnly := len(m.Moves) == 0
-		if e.pool != nil {
-			// Ship the applied batch to the remote replicas before any
-			// repair fans out: repairs are version-fenced scans, and a
-			// worker still behind the fence would answer stale.
-			e.pool.ShipUpdate(dirty, rowsOnly)
-		}
+		e.be.shipUpdate(dirty, rowsOnly)
 		e.repairMetricity(dirty, rowsOnly)
 		e.repairPhi(dirty, rowsOnly)
 		if !linksChanged {
@@ -296,56 +292,23 @@ func (e *Engine) applyMove(node int) {
 // invalidates and recomputes lazily.
 func (e *Engine) repairMetricity(dirty []int, rowsOnly bool) {
 	z, qm, ok := e.sys.Metricity()
-	if !ok {
-		e.zt = nil // a tracker, if any, is stale alongside the cache
-		e.invalidateShardZeta()
+	if ok && e.analytic > 0 {
+		e.sys.SetMetricity(z, qm.PatchedCopy(dirty, rowsOnly))
 		return
 	}
+	nz, repaired := e.repairTracker(shard.Zeta, &e.zt, dirty, rowsOnly)
 	switch {
-	case e.analytic > 0:
-		e.sys.SetMetricity(z, qm.PatchedCopy(dirty, rowsOnly))
-	case e.zt != nil:
-		var nz float64
-		if e.coord != nil {
-			// Sharded repair: the tracker patches the shared replica, every
-			// worker re-scans the dirty-incident triplets of its row range,
-			// and the merged band restores the tracked value — bit-identical
-			// to the pool repair. Update carries no context; repairs run to
-			// completion under the session write lock.
-			nz, _ = e.coord.RepairZeta(context.Background(), e.zt, dirty, rowsOnly)
-		} else {
-			nz = e.zt.Repair(dirty, rowsOnly)
-		}
-		if nz == z {
-			e.sys.SetMetricity(z, qm.PatchedCopy(dirty, rowsOnly))
-		} else {
-			e.sys.SetMetricity(nz, nil)
-		}
-	default:
-		// Exact-but-untracked or sampled ζ: invalidate; the next read
+	case !ok || !repaired:
+		// Untracked, sampled or failed: invalidate; the next read
 		// recomputes (building the tracker, now that the session is
 		// dynamic, unless it routes through the sampled estimators).
-		e.zt = nil
 		e.sys.InvalidateMetricity()
-		e.invalidateShardZeta()
 		e.zetaSamples.Store(0)
 		e.zetaEst.Store(nil)
-	}
-}
-
-// invalidateShardZeta drops the sharding replica's ζ scan state when the
-// session invalidates instead of repairing — the workers must not scan a
-// stale screen matrix after the next rebuild.
-func (e *Engine) invalidateShardZeta() {
-	if e.coord != nil {
-		e.coord.Replica().InvalidateZeta()
-	}
-}
-
-// invalidateShardVarphi is invalidateShardZeta's ϕ analogue.
-func (e *Engine) invalidateShardVarphi() {
-	if e.coord != nil {
-		e.coord.Replica().InvalidateVarphi()
+	case nz == z:
+		e.sys.SetMetricity(z, qm.PatchedCopy(dirty, rowsOnly))
+	default:
+		e.sys.SetMetricity(nz, nil)
 	}
 }
 
@@ -353,23 +316,31 @@ func (e *Engine) invalidateShardVarphi() {
 func (e *Engine) repairPhi(dirty []int, rowsOnly bool) {
 	e.phiMu.Lock()
 	defer e.phiMu.Unlock()
-	if !e.phiOK {
-		e.vt = nil
-		e.invalidateShardVarphi()
-		return
-	}
-	if e.vt != nil {
-		if e.coord != nil {
-			v, _ := e.coord.RepairVarphi(context.Background(), e.vt, dirty, rowsOnly)
-			e.phi = math.Log2(v)
-		} else {
-			e.phi = math.Log2(e.vt.Repair(dirty, rowsOnly))
-		}
+	v, repaired := e.repairTracker(shard.Varphi, &e.vt, dirty, rowsOnly)
+	if e.phiOK && repaired {
+		e.phi = math.Log2(v)
 		return
 	}
 	e.phiOK = false
 	e.phiEst = nil
-	e.invalidateShardVarphi()
+}
+
+// repairTracker repairs the tracker of p in *t, if the session has one,
+// through the backend, and returns the repaired value. Update carries no
+// context: the repair runs to completion under the session write lock.
+// Without a tracker, or when the repair fails (a closed remote session),
+// it drops the tracker and the replica's scan state of p and reports
+// false, and the caller invalidates its cached value.
+func (e *Engine) repairTracker(p shard.Param, t *shard.Tracker, dirty []int, rowsOnly bool) (float64, bool) {
+	if *t != nil {
+		v, err := e.be.Repair(context.Background(), p, *t, dirty, rowsOnly)
+		if err == nil {
+			return v, true
+		}
+	}
+	*t = nil
+	e.be.invalidate(p)
+	return 0, false
 }
 
 // dirtyLinks lists the links whose sender or receiver is a dirty node —
